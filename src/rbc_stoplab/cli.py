@@ -23,6 +23,7 @@ from .montecarlo import (
     ExperimentConfig,
     RandomRemainder,
     TABLE_IDS,
+    _fmt,
     comparison_to_csv,
     letters_projection,
     reproduce_table,
@@ -164,10 +165,6 @@ def write_manifest(out_dir: str, entries: dict[str, str]) -> None:
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         for key, value in entries.items():
             fh.write(f"{key} = {value}\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _cmd_simulate(args) -> int:
@@ -382,10 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -20,11 +20,17 @@ import numpy as np
 
 from .simplex import (
     SimplexPoint,
+    _top_two_union,
+    confidence,
+    kl_bits,
     kl_divergence,
+    renyi_bits,
     renyi_entropy,
+    shannon_bits,
     shannon_entropy,
     special_point,
-    top_two,
+    top_two,  # noqa: F401 - unused here, but bench/tracer.py instruments criteria.top_two
+    top_two_gap,
 )
 
 __all__ = [
@@ -33,6 +39,8 @@ __all__ = [
     "CriterionState",
     "calibrate",
     "should_stop",
+    "stop_statistic",
+    "in_stop_region",
     "min_confidence_on_entropy_contour",
     "delta2_divergence",
     "boundary_sample",
@@ -125,25 +133,44 @@ def calibrate(family: str, tau: float, n: int, *, alpha: float | None = None,
     return StoppingRule(family, n, tau, renyi_entropy(anchor, a), alpha=a)
 
 
+def stop_statistic(rule: StoppingRule, log_probs: np.ndarray,
+                   previous: np.ndarray | None = None) -> np.ndarray:
+    """The statistic ``rule`` compares with its cutoff, over log-domain
+    distributions ``(..., n)``.
+
+    The consecutive-KL rule (M5) compares each distribution with
+    ``previous``, the distributions one evaluation earlier.
+    """
+    family = rule.family
+    if family in ("M1", "M1bar"):
+        return confidence(log_probs)
+    if family == "MP":
+        return top_two_gap(log_probs)
+    if family == "M3":
+        return shannon_bits(log_probs)
+    if family in ("M2", "M4"):
+        return renyi_bits(log_probs, rule.alpha)
+    if previous is None:
+        raise ValueError(f"{family} has no pointwise statistic")
+    return kl_bits(log_probs, previous)
+
+
+def stop_cutoff(rule: StoppingRule) -> float:
+    """The value at which the rule's statistic crosses into its stop region."""
+    return 1.0 - rule.threshold if rule.family == "MP" else rule.threshold
+
+
+def in_stop_region(rule: StoppingRule, statistic):
+    """Strict stop test: confidence and gap rules stop above the cutoff,
+    entropy and KL rules below it."""
+    if rule.family in ("M1", "M1bar", "MP"):
+        return statistic > stop_cutoff(rule)
+    return statistic < stop_cutoff(rule)
+
+
 def rule_statistic(rule: StoppingRule, p: SimplexPoint) -> float:
     """The scalar each rule compares against its threshold (M5 excluded)."""
-    if rule.family in ("M1", "M1bar"):
-        return p.max_prob
-    if rule.family == "MP":
-        return top_two(p).gap
-    if rule.family == "M3":
-        return shannon_entropy(p)
-    if rule.family in ("M2", "M4"):
-        return renyi_entropy(p, rule.alpha)
-    raise ValueError(f"{rule.family} has no pointwise statistic")
-
-
-def _stops_at(rule: StoppingRule, p: SimplexPoint) -> bool:
-    if rule.family in ("M1", "M1bar"):
-        return p.max_prob > rule.threshold
-    if rule.family == "MP":
-        return top_two(p).gap > 1.0 - rule.threshold
-    return rule_statistic(rule, p) < rule.threshold
+    return float(stop_statistic(rule, p.log_probs))
 
 
 def should_stop(rule: StoppingRule, state: CriterionState,
@@ -157,11 +184,10 @@ def should_stop(rule: StoppingRule, state: CriterionState,
     if p.n != rule.n:
         raise ValueError(f"dimension mismatch: rule has n={rule.n}, point has n={p.n}")
     if rule.family != "M5":
-        return _stops_at(rule, p), state
+        return in_stop_region(rule, rule_statistic(rule, p)), state
     if state.previous is None:
         return False, CriterionState(previous=p)
-    stop = kl_divergence(p, state.previous) < rule.threshold
-    return stop, CriterionState(previous=p)
+    return in_stop_region(rule, kl_divergence(p, state.previous)), CriterionState(previous=p)
 
 
 def _binary_entropy_bits(t: float) -> float:
@@ -205,15 +231,9 @@ def delta2_divergence(p: SimplexPoint, q: SimplexPoint) -> float:
     minus the largest coordinate, i.e. it reduces to plain confidence
     thresholding.
     """
-    if p.n != q.n:
-        raise ValueError(f"dimension mismatch: {p.n} vs {q.n}")
-    tp, tq = top_two(p), top_two(q)
-    idx = sorted({tp.j1, tp.j2, tq.j1, tq.j2})
-    pp, qq = p.probs, q.probs
-    total = sum(abs(pp[k] - qq[k]) for k in idx)
-    p_rest = 1.0 - sum(pp[k] for k in idx)
-    q_rest = 1.0 - sum(qq[k] for k in idx)
-    return float(0.5 * (total + abs(p_rest - q_rest)))
+    pp, qq = _top_two_union(p, q)
+    p_rest, q_rest = 1.0 - sum(pp), 1.0 - sum(qq)
+    return float(0.5 * (sum(abs(pp - qq)) + abs(p_rest - q_rest)))
 
 
 # Orthonormal basis of the plane {x : sum(x) = 0} in R^3, used to cast
@@ -242,20 +262,7 @@ def boundary_sample(rule: StoppingRule, resolution: int) -> list[SimplexPoint]:
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
 
-    if rule.family in ("M1", "M1bar"):
-        target = rule.threshold
-        stat = lambda pt: pt.max_prob
-    elif rule.family == "MP":
-        target = 1.0 - rule.threshold
-        stat = lambda pt: top_two(pt).gap
-    elif rule.family == "M3":
-        target = rule.threshold
-        stat = shannon_entropy
-    else:
-        target = rule.threshold
-        alpha = rule.alpha
-        stat = lambda pt: renyi_entropy(pt, alpha)
-
+    target = stop_cutoff(rule)
     center = np.full(3, 1.0 / 3.0)
 
     def trace(n_rays: int) -> list[SimplexPoint]:
@@ -269,8 +276,10 @@ def boundary_sample(rule: StoppingRule, resolution: int) -> list[SimplexPoint]:
             def point_at(t: float) -> SimplexPoint:
                 return SimplexPoint.from_probs(np.maximum(center + t * d, 0.0))
 
-            g0 = stat(point_at(0.0)) - target
-            g1 = stat(point_at(t_max)) - target
+            def excess(t: float) -> float:
+                return rule_statistic(rule, point_at(t)) - target
+
+            g0, g1 = excess(0.0), excess(t_max)
             if g0 == 0.0:
                 found.append(point_at(0.0))
                 continue
@@ -279,7 +288,7 @@ def boundary_sample(rule: StoppingRule, resolution: int) -> list[SimplexPoint]:
             lo, hi = 0.0, t_max
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                gm = stat(point_at(mid)) - target
+                gm = excess(mid)
                 if abs(gm) <= 1e-12:
                     lo = hi = mid
                     break

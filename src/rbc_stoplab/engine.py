@@ -32,6 +32,7 @@ __all__ = [
     "TrialOutcome",
     "trial_stream",
     "resolve_queried",
+    "log_evidence",
     "sample_evidence",
     "run_trial",
 ]
@@ -94,7 +95,8 @@ class TrialConfig:
         if self.max_sequences < 1:
             raise ValueError("max_sequences must be at least 1")
         if isinstance(self.scheme, TopN) and self.scheme.n_queries > self.prior.n:
-            raise ValueError("cannot query more classes than exist")
+            raise ValueError(f"scheme queries {self.scheme.n_queries} classes "
+                             f"but only {self.prior.n} exist")
 
 
 @dataclass(frozen=True)
@@ -121,14 +123,26 @@ def trial_stream(master_seed: int, trial_index: int, stream: int = 0) -> np.rand
 
 
 def resolve_queried(scheme: QueryScheme, probs: np.ndarray) -> np.ndarray:
-    """Boolean mask of queried classes; top-N ties go to the lowest index."""
-    n = probs.size
+    """Boolean mask of queried classes along the last axis of ``probs``;
+    top-N ties go to the lowest index."""
     if isinstance(scheme, Broadcast):
-        return np.ones(n, dtype=bool)
-    order = np.argsort(-probs, kind="stable")
-    mask = np.zeros(n, dtype=bool)
-    mask[order[: scheme.n_queries]] = True
-    return mask
+        return np.ones(probs.shape, dtype=bool)
+    # a class's rank is its position in the stable descending order
+    rank = np.argsort(np.argsort(-probs, axis=-1, kind="stable"), axis=-1)
+    return rank < scheme.n_queries
+
+
+def log_evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
+                 queried: np.ndarray) -> np.ndarray:
+    """Log evidence from standard normals ``z`` of shape ``(..., n)``.
+
+    A queried true class reads the positive channel, other queried
+    classes the negative one, and unqueried classes get exactly 0.
+    """
+    log_e = model.mu_neg + model.c_neg * z
+    log_e[..., true_index] = model.mu_pos + model.c_pos * z[..., true_index]
+    log_e[~queried] = 0.0
+    return log_e
 
 
 def sample_evidence(model: EvidenceModel, queried: np.ndarray, true_index: int,
@@ -139,15 +153,8 @@ def sample_evidence(model: EvidenceModel, queried: np.ndarray, true_index: int,
     that the stream layout does not depend on the scheme; unqueried
     classes get evidence exactly 1.
     """
-    n = queried.size
-    z = rng.standard_normal(n)
-    log_values = np.zeros(n)
-    for i in np.flatnonzero(queried):
-        if i == true_index:
-            log_values[i] = model.mu_pos + model.c_pos * z[i]
-        else:
-            log_values[i] = model.mu_neg + model.c_neg * z[i]
-    return LikelihoodVector(np.exp(log_values))
+    z = rng.standard_normal(queried.size)
+    return LikelihoodVector(np.exp(log_evidence(model, true_index, z, queried)))
 
 
 def run_trial(config: TrialConfig) -> TrialOutcome:

@@ -13,9 +13,11 @@ accuracy matrices:
 
 Three bundled benchmark scenarios (``T2``, ``T3``, ``T4``) carry
 reference matrices; ``reproduce_table`` reruns them and reports per-cell
-agreement.  The harness honors the ``RBC_STOPLAB_THREADS`` environment
-variable as a worker-count hint; per-trial random substreams make the
-results identical for any worker count.
+agreement.  ``run_experiment`` honors the ``RBC_STOPLAB_THREADS``
+environment variable as a worker-count hint; per-trial random substreams
+make the results identical for any worker count.  Stop rules are
+evaluated on the log-domain state tensor through ``criteria``, the same
+definitions ``should_stop`` uses.
 """
 
 from __future__ import annotations
@@ -27,9 +29,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import FAMILIES, StoppingRule, calibrate
-from .engine import Broadcast, EvidenceModel, QueryScheme, trial_stream
-from .simplex import SimplexPoint
+from .criteria import FAMILIES, StoppingRule, calibrate, in_stop_region, stop_statistic
+from .engine import (
+    Broadcast,
+    EvidenceModel,
+    QueryScheme,
+    TrialConfig,
+    log_evidence,
+    resolve_queried,
+    trial_stream,
+)
+from .simplex import SimplexPoint, _normalize_log_weights
 
 __all__ = [
     "RandomRemainder",
@@ -54,7 +64,6 @@ __all__ = [
     "comparison_to_csv",
 ]
 
-_LOG2 = np.log(2.0)
 DEFAULT_TABLE_SEED = 20210814
 
 
@@ -90,12 +99,6 @@ class ExperimentConfig:
     check_prior: bool = True
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if isinstance(self.prior, SimplexPoint) and self.prior.n != self.n:
-            raise ValueError("prior dimension does not match n")
-        if not 0 <= self.true_index < self.n:
-            raise ValueError("true_index out of range")
         unknown = set(self.methods) - set(FAMILIES)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -103,8 +106,12 @@ class ExperimentConfig:
             raise ValueError("at least one method required")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
-        if self.max_sequences < 1:
-            raise ValueError("max_sequences must be at least 1")
+        # calibration checks n and tau; a trial checks the rest
+        rule = calibrate(self.methods[0], self.tau, self.n)
+        prior = (self.prior if isinstance(self.prior, SimplexPoint)
+                 else SimplexPoint.uniform(self.n))
+        TrialConfig(prior=prior, true_index=self.true_index, rule=rule, model=self.model,
+                    scheme=self.scheme, max_sequences=self.max_sequences)
 
 
 @dataclass
@@ -164,92 +171,38 @@ def _simulate_chunk(cfg: ExperimentConfig, trial_indices: np.ndarray,
         prior_logs[row] = _resolve_prior_log(cfg, rng)
         draws[row] = rng.standard_normal((s_count, n))
 
-    mus = np.full(n, cfg.model.mu_neg)
-    mus[cfg.true_index] = cfg.model.mu_pos
-    cs = np.full(n, cfg.model.c_neg)
-    cs[cfg.true_index] = cfg.model.c_pos
-
     states = np.empty((t_count, s_count + 1, n))
-    logp = prior_logs - _logsumexp_rows(prior_logs)[:, None]
-    states[:, 0] = logp
-    broadcast = isinstance(cfg.scheme, Broadcast)
+    logp = states[:, 0] = _normalize_log_weights(prior_logs)
     for s in range(s_count):
-        log_e = mus + cs * draws[:, s]
-        if not broadcast:
-            probs = np.exp(logp)
-            order = np.argsort(-probs, axis=1, kind="stable")
-            mask = np.zeros((t_count, n), dtype=bool)
-            rows = np.arange(t_count)[:, None]
-            mask[rows, order[:, : cfg.scheme.n_queries]] = True
-            log_e = np.where(mask, log_e, 0.0)
-        logp = logp + log_e
-        logp = logp - _logsumexp_rows(logp)[:, None]
-        states[:, s + 1] = logp
+        queried = resolve_queried(cfg.scheme, np.exp(logp))
+        log_e = log_evidence(cfg.model, cfg.true_index, draws[:, s], queried)
+        logp = states[:, s + 1] = _normalize_log_weights(logp + log_e)
     return states
 
 
-def _logsumexp_rows(logw: np.ndarray) -> np.ndarray:
-    m = np.max(logw, axis=-1)
-    with np.errstate(invalid="ignore"):
-        out = m + np.log(np.sum(np.exp(logw - m[..., None]), axis=-1))
-    return out
+def _stop_records(rule: StoppingRule, states: np.ndarray, cfg: ExperimentConfig,
+                  statistics: dict) -> tuple[np.ndarray, np.ndarray]:
+    """First stop per trial (-1 if censored) and whether its decision was right.
 
-
-def _shannon_bits(P: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)
-    return -terms.sum(-1) / _LOG2
-
-
-def _renyi_bits(P: np.ndarray, alpha: float) -> np.ndarray:
-    return np.log(np.power(P, alpha).sum(-1)) / ((1.0 - alpha) * _LOG2)
-
-
-def _kl_bits(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(
-            P > 0,
-            P * (np.log(np.where(P > 0, P, 1.0)) - np.log(np.where(Q > 0, Q, 1.0))),
-            0.0,
-        )
-    return terms.sum(-1) / _LOG2
-
-
-def _region_matrix(rule: StoppingRule, P: np.ndarray, check_prior: bool) -> np.ndarray:
-    """Strict stop-region membership per (trial, state); mirrors should_stop."""
-    if rule.family in ("M1", "M1bar"):
-        reg = P.max(-1) > rule.threshold
-    elif rule.family == "MP":
-        srt = np.sort(P, axis=-1)
-        reg = (srt[..., -1] - srt[..., -2]) > 1.0 - rule.threshold
-    elif rule.family == "M3":
-        reg = _shannon_bits(P) < rule.threshold
-    elif rule.family in ("M2", "M4"):
-        reg = _renyi_bits(P, rule.alpha) < rule.threshold
-    elif rule.family == "M5":
-        reg = np.zeros(P.shape[:2], dtype=bool)
-        reg[:, 1:] = _kl_bits(P[:, 1:], P[:, :-1]) < rule.threshold
-        if not check_prior:
-            # first evaluation happens after update 1 and only records state
-            reg[:, 1] = False
-        return reg
-    else:  # pragma: no cover - guarded by StoppingRule
-        raise ValueError(rule.family)
-    if not check_prior:
-        reg = reg.copy()
+    ``states`` is a log-domain state tensor; ``statistics`` caches each
+    family's statistic over it, so rules that differ only in threshold
+    compute it once.
+    """
+    # M5 compares state s with state s - 1, so its columns start at state 1.
+    # Without the prior check the first evaluation is on state 1, where M5
+    # has no previous state yet.
+    offset = 1 if rule.family == "M5" else 0
+    key = (rule.family, rule.alpha)
+    if key not in statistics:
+        statistics[key] = (stop_statistic(rule, states[:, 1:], states[:, :-1]) if offset
+                           else stop_statistic(rule, states))
+    reg = in_stop_region(rule, statistics[key])
+    if not cfg.check_prior:
         reg[:, 0] = False
-    return reg
-
-
-def _first_stop_and_decision(reg: np.ndarray, P: np.ndarray,
-                             true_index: int) -> tuple[np.ndarray, np.ndarray]:
     any_stop = reg.any(axis=1)
-    first = np.where(any_stop, reg.argmax(axis=1), -1)
-    rows = np.arange(P.shape[0])
-    at = np.maximum(first, 0)
-    decision = P[rows, at].argmax(axis=-1)
-    correct = (decision == true_index) & any_stop
-    return first, correct
+    first = np.where(any_stop, reg.argmax(axis=1) + offset, -1)
+    decision = states[np.arange(states.shape[0]), np.maximum(first, 0)].argmax(axis=-1)
+    return first, (decision == cfg.true_index) & any_stop
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -275,22 +228,15 @@ def run_experiment(cfg: ExperimentConfig,
             if keep_trajectories else None)
 
     def handle_chunk(chunk: np.ndarray) -> None:
-        if cfg.common_random_numbers:
-            states = np.exp(_simulate_chunk(cfg, chunk, stream=0))
-            per_method = [states] * n_methods
-        else:
-            per_method = [
-                np.exp(_simulate_chunk(cfg, chunk, stream=1 + m))
-                for m in range(n_methods)
-            ]
+        states = (_simulate_chunk(cfg, chunk, stream=0)
+                  if cfg.common_random_numbers or kept is not None else None)
         if kept is not None:
-            kept[chunk] = (per_method[0] if cfg.common_random_numbers
-                           else np.exp(_simulate_chunk(cfg, chunk, stream=0)))
+            kept[chunk] = np.exp(states)
+        statistics: dict = {}
         for m, rule in enumerate(rules):
-            reg = _region_matrix(rule, per_method[m], cfg.check_prior)
-            f, ok = _first_stop_and_decision(reg, per_method[m], cfg.true_index)
-            first[m, chunk] = f
-            correct[m, chunk] = ok
+            if not cfg.common_random_numbers:
+                states, statistics = _simulate_chunk(cfg, chunk, stream=1 + m), {}
+            first[m, chunk], correct[m, chunk] = _stop_records(rule, states, cfg, statistics)
 
     if len(chunks) == 1:
         handle_chunk(chunks[0])
@@ -525,23 +471,13 @@ def speed_accuracy_sweep(cfg: ExperimentConfig, tau_list,
             raise ValueError(f"tau {t} outside (1/{cfg.n}, 1)")
     methods = tuple(m for m in cfg.methods if include_m5 or m != "M5")
 
-    workers = _worker_count()
-    chunks = np.array_split(np.arange(cfg.n_trials), min(workers, cfg.n_trials))
-    chunks = [c for c in chunks if c.size]
-    state_chunks = [np.exp(_simulate_chunk(cfg, c, stream=0)) for c in chunks]
-
+    states = _simulate_chunk(cfg, np.arange(cfg.n_trials), stream=0)
+    statistics: dict = {}
     points: list[SweepPoint] = []
     for method in methods:
         for tau in taus:
             rule = calibrate(method, tau, cfg.n)
-            firsts, corrects = [], []
-            for states in state_chunks:
-                reg = _region_matrix(rule, states, cfg.check_prior)
-                f, ok = _first_stop_and_decision(reg, states, cfg.true_index)
-                firsts.append(f)
-                corrects.append(ok)
-            first = np.concatenate(firsts)
-            correct = np.concatenate(corrects)
+            first, correct = _stop_records(rule, states, cfg, statistics)
             stopped = first >= 0
             seq = np.where(stopped, first, cfg.max_sequences).mean()
             acc = (correct[stopped].sum() / stopped.sum()) if stopped.any() else 0.0

@@ -6,7 +6,10 @@ Entries that are exactly zero are permitted (they encode boundary points
 such as two-class mixtures) and are absorbing under perturbation: once a
 category has zero mass no amount of evidence revives it.
 
-All entropies and divergences are reported in bits.
+All entropies and divergences are reported in bits.  Each stop statistic
+is defined once, over log-domain arrays of shape ``(..., n)``, so one
+function serves a single point and a whole tensor of simulated states;
+the functions on :class:`SimplexPoint` are calls on a batch of one.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ __all__ = [
     "oplus",
     "otimes",
     "special_point",
+    "confidence",
+    "top_two_gap",
+    "shannon_bits",
+    "renyi_bits",
+    "kl_bits",
     "shannon_entropy",
     "renyi_entropy",
     "kl_divergence",
@@ -35,12 +43,12 @@ _LOG2 = np.log(2.0)
 
 
 def _normalize_log_weights(logw: np.ndarray) -> np.ndarray:
-    """Shift log weights so the implied masses sum to one (log-sum-exp)."""
-    m = np.max(logw)
-    if not np.isfinite(m):
+    """Shift log weights along the last axis so the implied masses sum to
+    one (log-sum-exp)."""
+    m = logw.max(-1)[..., None]
+    if not np.isfinite(m).all():
         raise ValueError("distribution has no positive mass")
-    total = m + np.log(np.sum(np.exp(logw - m)))
-    return logw - total
+    return logw - (m + np.log(np.exp(logw - m).sum(-1))[..., None])
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,7 @@ class SimplexPoint:
 
     @property
     def max_prob(self) -> float:
-        return float(np.exp(np.max(self.log_probs)))
+        return float(confidence(self.log_probs))
 
     @property
     def argmax(self) -> int:
@@ -239,11 +247,47 @@ def special_point(kind: str, n: int, tau: float | None = None, i: int = 0) -> Si
     return SimplexPoint.from_probs(p)
 
 
+def confidence(log_probs: np.ndarray) -> np.ndarray:
+    """Largest mass along the last axis of log-domain distributions."""
+    return np.exp(np.max(log_probs, axis=-1))
+
+
+def top_two_gap(log_probs: np.ndarray) -> np.ndarray:
+    """Largest minus second-largest mass along the last axis."""
+    top = np.exp(np.partition(log_probs, -2, axis=-1)[..., -2:])
+    return top[..., 1] - top[..., 0]
+
+
+def shannon_bits(log_probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits along the last axis, with ``0 log 0 = 0``."""
+    terms = np.exp(log_probs)
+    np.multiply(terms, log_probs, out=terms, where=np.isfinite(log_probs))
+    return -np.sum(terms, axis=-1) / _LOG2
+
+
+def renyi_bits(log_probs: np.ndarray, alpha: float) -> np.ndarray:
+    """Order-``alpha`` Renyi entropy in bits along the last axis.
+
+    The sum of ``p_i^alpha`` runs over the support only and is taken by
+    log-sum-exp, so its range is safe for any ``alpha`` (``alpha = 0``
+    counts the support).
+    """
+    scaled = np.multiply(log_probs, alpha, out=np.full_like(log_probs, -np.inf),
+                         where=np.isfinite(log_probs))
+    m = scaled.max(-1)
+    np.exp(np.subtract(scaled, m[..., None], out=scaled), out=scaled)
+    return (m + np.log(scaled.sum(-1))) / ((1.0 - alpha) * _LOG2)
+
+
+def kl_bits(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """``KL(p || q)`` in bits along the last axis; ``p``'s zeros add nothing."""
+    terms = np.subtract(log_p, log_q, out=np.zeros_like(log_p), where=np.isfinite(log_p))
+    return np.multiply(terms, np.exp(log_p), out=terms).sum(-1) / _LOG2
+
+
 def shannon_entropy(p: SimplexPoint) -> float:
     """Shannon entropy in bits with the convention ``0 log 0 = 0``."""
-    lp = p.log_probs
-    finite = np.isfinite(lp)
-    return float(-np.sum(np.exp(lp[finite]) * lp[finite]) / _LOG2)
+    return float(shannon_bits(p.log_probs))
 
 
 def renyi_entropy(p: SimplexPoint, alpha: float) -> float:
@@ -258,11 +302,7 @@ def renyi_entropy(p: SimplexPoint, alpha: float) -> float:
         raise ValueError("alpha must be nonnegative")
     if alpha == 1.0:
         raise ValueError("alpha = 1 is the Shannon limit; use shannon_entropy")
-    lp = p.log_probs[np.isfinite(p.log_probs)]
-    # log-sum-exp of alpha * log p for numerical range safety
-    m = np.max(alpha * lp)
-    log_sum = m + np.log(np.sum(np.exp(alpha * lp - m)))
-    return float(log_sum / ((1.0 - alpha) * _LOG2))
+    return float(renyi_bits(p.log_probs, alpha))
 
 
 def kl_divergence(p: SimplexPoint, q: SimplexPoint) -> float:
@@ -272,11 +312,9 @@ def kl_divergence(p: SimplexPoint, q: SimplexPoint) -> float:
     zero too.
     """
     _check_same_n(p, q)
-    lp, lq = p.log_probs, q.log_probs
-    if np.any(np.isneginf(lq) & ~np.isneginf(lp)):
+    if np.any(np.isneginf(q.log_probs) & ~np.isneginf(p.log_probs)):
         raise ValueError("support violation: p has mass where q is zero")
-    finite = np.isfinite(lp)
-    return float(np.sum(np.exp(lp[finite]) * (lp[finite] - lq[finite])) / _LOG2)
+    return float(kl_bits(p.log_probs, q.log_probs))
 
 
 def project_to_center_line(p: SimplexPoint, i: int) -> SimplexPoint:
@@ -301,8 +339,16 @@ def center_line_distance(p: SimplexPoint, i: int) -> float:
 def top_two(p: SimplexPoint) -> TopTwo:
     """Largest and second-largest coordinates, lowest index on ties."""
     order = np.argsort(-p.probs, kind="stable")
-    j1, j2 = int(order[0]), int(order[1])
-    return TopTwo(j1=j1, j2=j2, gap=float(p.probs[j1] - p.probs[j2]))
+    return TopTwo(j1=int(order[0]), j2=int(order[1]), gap=float(top_two_gap(p.log_probs)))
+
+
+def _top_two_union(p: SimplexPoint, q: SimplexPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Masses of ``p`` and ``q`` on the union of their top-two index sets,
+    in index order."""
+    _check_same_n(p, q)
+    tp, tq = top_two(p), top_two(q)
+    idx = sorted({tp.j1, tp.j2, tq.j1, tq.j2})
+    return p.probs[idx], q.probs[idx]
 
 
 def delta_mp(p: SimplexPoint, q: SimplexPoint) -> float:
@@ -312,8 +358,5 @@ def delta_mp(p: SimplexPoint, q: SimplexPoint) -> float:
     sets (duplicates counted once).  Symmetric and nonnegative; zero on
     identical arguments.
     """
-    _check_same_n(p, q)
-    tp, tq = top_two(p), top_two(q)
-    idx = sorted({tp.j1, tp.j2, tq.j1, tq.j2})
-    pp, qq = p.probs, q.probs
-    return float(sum(abs(pp[k] - qq[k]) for k in idx))
+    pp, qq = _top_two_union(p, q)
+    return float(sum(abs(pp - qq)))

@@ -60,6 +60,32 @@ class TestConfigParsing:
         assert rc == 2
         assert "tau" in capsys.readouterr().err
 
+    def test_scheme_wider_than_n_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path,
+                            GOOD_CONFIG.replace("scheme = broadcast", "scheme = topN:5"))
+        rc = main(["simulate", path])
+        assert rc == 2
+        assert "scheme" in capsys.readouterr().err
+
+    def test_tau_below_uniform_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("tau = 0.8", "tau = 0.1"))
+        rc = main(["simulate", path])
+        assert rc == 2
+        assert "tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "table"])
+    def test_out_dir_is_a_file_exit_code(self, tmp_path, capsys, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        path = write_config(tmp_path, GOOD_CONFIG + f"out_dir = {blocker}\n")
+        argv = {"simulate": ["simulate", path],
+                "sweep": ["sweep", path, "--tau-list", "0.7"],
+                "table": ["table", "T2", "--trials", "20", "--out-dir", str(blocker)]}
+        rc = main(argv[command])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(blocker) in err
+
     def test_bad_method_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path,
                             GOOD_CONFIG.replace("M1,MP,M3", "M1,M9"))
@@ -145,6 +171,17 @@ class TestSweepCommand:
         lines = (out_dir / "sweep.csv").read_text().splitlines()
         assert lines[0] == "method,tau,mean_sequences,mean_accuracy"
         assert len(lines) == 1 + 3 * 2  # three configured methods, two taus
+
+    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
+        blobs = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("RBC_STOPLAB_THREADS", workers)
+            out_dir = tmp_path / f"sw{workers}"
+            cfg = GOOD_CONFIG + f"out_dir = {out_dir}\n"
+            path = write_config(tmp_path, cfg, name=f"run{workers}.cfg")
+            assert main(["sweep", path, "--tau-list", "0.7,0.8,0.9"]) == 0
+            blobs.append(read_bytes(out_dir / "sweep.csv"))
+        assert blobs[0] == blobs[1]
 
 
 class TestBoundsCommand:

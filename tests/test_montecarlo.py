@@ -1,10 +1,13 @@
 """Harness: aggregation semantics, determinism, serialization, projections."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rbc_stoplab.engine import EvidenceModel, TopN, TrialConfig, run_trial
-from rbc_stoplab.criteria import calibrate
+from rbc_stoplab.engine import Broadcast, EvidenceModel, TopN, TrialConfig, run_trial
+from rbc_stoplab.criteria import FAMILIES, calibrate
 from rbc_stoplab.montecarlo import (
     ExperimentConfig,
     RandomRemainder,
@@ -154,6 +157,61 @@ class TestRunExperiment:
         assert np.all(np.diff(res.p_stop, axis=1) >= 0)
 
 
+@st.composite
+def trial_cases(draw):
+    """A harness config over every family, with priors that may hold a
+    zero-mass class and evidence far outside the bundled tables."""
+    n = draw(st.integers(2, 6))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                            min_size=n, max_size=n).filter(lambda w: sum(w) > 0))
+    scheme = draw(st.one_of(st.just(Broadcast()), st.integers(1, n).map(TopN)))
+    log_mean = st.floats(-300.0, 300.0)
+    log_sd = st.floats(0.0, 50.0)
+    return ExperimentConfig(
+        n=n,
+        prior=sp(weights),
+        tau=draw(st.floats(1.0 / n, 1.0, exclude_min=True)),
+        methods=FAMILIES,
+        model=EvidenceModel(draw(log_mean), draw(log_sd), draw(log_mean), draw(log_sd)),
+        true_index=draw(st.integers(0, n - 1)),
+        scheme=scheme,
+        n_trials=6,
+        max_sequences=draw(st.integers(1, 10)),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        check_prior=draw(st.booleans()),
+    )
+
+
+class TestHarnessMatchesEngine:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(trial_cases())
+    def test_first_stop_and_correctness_per_trial(self, cfg):
+        # the vectorized harness and the single-trial loop are separate
+        # implementations of one semantics; they must agree trial by trial
+        res = run_experiment(cfg)
+        for m, method in enumerate(cfg.methods):
+            rule = calibrate(method, cfg.tau, cfg.n)
+            for t in range(cfg.n_trials):
+                out = run_trial(TrialConfig(
+                    prior=cfg.prior, true_index=cfg.true_index, rule=rule,
+                    model=cfg.model, scheme=cfg.scheme,
+                    max_sequences=cfg.max_sequences, seed=cfg.master_seed,
+                    trial_index=t, check_prior=cfg.check_prior))
+                expected = -1 if out.stopped_at is None else out.stopped_at
+                assert res.first_stop[m, t] == expected, (method, t)
+                assert bool(res.stop_correct[m, t]) == bool(out.correct), (method, t)
+
+
+class TestConfigValidation:
+    def test_rejects_more_queries_than_classes(self):
+        with pytest.raises(ValueError, match="scheme"):
+            small_config(scheme=TopN(5))
+
+    def test_rejects_tau_outside_calibration_domain(self):
+        with pytest.raises(ValueError, match="tau"):
+            small_config(tau=0.1)
+
+
 class TestReferenceTables:
     def test_comparison_covers_every_cell(self):
         comp = reproduce_table("T2", n_trials=300)
@@ -208,6 +266,23 @@ class TestSweep:
         points = speed_accuracy_sweep(cfg, [0.65, 0.72, 0.79, 0.86])
         seqs = [p.mean_sequences for p in points]
         assert all(b >= a for a, b in zip(seqs, seqs[1:]))
+
+    @pytest.mark.parametrize("check_prior", [True, False])
+    def test_points_equal_one_run_per_tau(self, check_prior):
+        # one simulation read at every anchor gives exactly what a separate
+        # run at each anchor gives
+        cfg = small_config(methods=FAMILIES, scheme=TopN(2), n_trials=300,
+                           check_prior=check_prior)
+        taus = [0.65, 0.8, 0.9]
+        points = speed_accuracy_sweep(cfg, taus, include_m5=True)
+        assert len(points) == len(FAMILIES) * len(taus)
+        runs = {tau: run_experiment(replace(cfg, tau=tau)) for tau in taus}
+        for p in points:
+            res = runs[p.tau]
+            first = res.first_stop[res.method_row(p.method)]
+            censored_mean = np.where(first >= 0, first, cfg.max_sequences).mean()
+            assert p.mean_sequences == censored_mean
+            assert p.mean_accuracy == res.overall_accuracy[res.method_row(p.method)]
 
     def test_tau_domain_checked(self):
         with pytest.raises(ValueError):
