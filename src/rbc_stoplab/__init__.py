@@ -48,7 +48,6 @@ from .engine import (
     TrialConfig,
     TrialOutcome,
     run_trial,
-    sample_evidence,
     trial_stream,
 )
 from .montecarlo import (

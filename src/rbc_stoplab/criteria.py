@@ -23,15 +23,14 @@ from .simplex import (
     _top_two_union,
     confidence,
     kl_bits,
-    kl_divergence,
     renyi_bits,
     renyi_entropy,
     shannon_bits,
     shannon_entropy,
     special_point,
-    top_two,  # noqa: F401 - unused here, but bench/tracer.py instruments criteria.top_two
     top_two_gap,
 )
+from .simplex import kl_divergence, top_two  # noqa: F401 - unused; bench/tracer.py wraps them
 
 __all__ = [
     "FAMILIES",
@@ -139,7 +138,9 @@ def stop_statistic(rule: StoppingRule, log_probs: np.ndarray,
     distributions ``(..., n)``.
 
     The consecutive-KL rule (M5) compares each distribution with
-    ``previous``, the distributions one evaluation earlier.
+    ``previous``, the distributions one evaluation earlier.  Before there
+    is one, its statistic is infinite: M5 cannot stop on its first
+    evaluation.
     """
     family = rule.family
     if family in ("M1", "M1bar"):
@@ -151,7 +152,7 @@ def stop_statistic(rule: StoppingRule, log_probs: np.ndarray,
     if family in ("M2", "M4"):
         return renyi_bits(log_probs, rule.alpha)
     if previous is None:
-        raise ValueError(f"{family} has no pointwise statistic")
+        return np.full(np.shape(log_probs)[:-1], np.inf)
     return kl_bits(log_probs, previous)
 
 
@@ -178,16 +179,13 @@ def should_stop(rule: StoppingRule, state: CriterionState,
     """Evaluate the rule on the latest distribution.
 
     Returns the stop decision and the state to carry into the next
-    evaluation.  The consecutive-KL rule never stops on its first
-    evaluation (there is nothing to compare against yet).
+    evaluation.
     """
     if p.n != rule.n:
         raise ValueError(f"dimension mismatch: rule has n={rule.n}, point has n={p.n}")
-    if rule.family != "M5":
-        return in_stop_region(rule, rule_statistic(rule, p)), state
-    if state.previous is None:
-        return False, CriterionState(previous=p)
-    return in_stop_region(rule, kl_divergence(p, state.previous)), CriterionState(previous=p)
+    previous = None if state.previous is None else state.previous.log_probs
+    stop = bool(in_stop_region(rule, stop_statistic(rule, p.log_probs, previous)))
+    return stop, (CriterionState(previous=p) if rule.family == "M5" else state)
 
 
 def _binary_entropy_bits(t: float) -> float:

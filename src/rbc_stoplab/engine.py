@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import CriterionState, StoppingRule, should_stop
-from .simplex import LikelihoodVector, SimplexPoint, oplus
+# should_stop and oplus are unused here, but bench/tracer.py instruments them
+from .criteria import StoppingRule, in_stop_region, should_stop, stop_statistic  # noqa: F401
+from .simplex import SimplexPoint, _normalize_log_weights, oplus  # noqa: F401
 
 __all__ = [
     "EvidenceModel",
@@ -33,7 +34,7 @@ __all__ = [
     "trial_stream",
     "resolve_queried",
     "log_evidence",
-    "sample_evidence",
+    "classify_until_stop",
     "run_trial",
 ]
 
@@ -52,6 +53,9 @@ class EvidenceModel:
     c_neg: float
 
     def __post_init__(self) -> None:
+        for key in ("mu_pos", "c_pos", "mu_neg", "c_neg"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.c_pos < 0 or self.c_neg < 0:
             raise ValueError("channel log-sds must be nonnegative")
 
@@ -94,6 +98,8 @@ class TrialConfig:
             raise ValueError("prior and rule dimensions differ")
         if self.max_sequences < 1:
             raise ValueError("max_sequences must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if isinstance(self.scheme, TopN) and self.scheme.n_queries > self.prior.n:
             raise ValueError(f"scheme queries {self.scheme.n_queries} classes "
                              f"but only {self.prior.n} exist")
@@ -145,16 +151,71 @@ def log_evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
     return log_e
 
 
-def sample_evidence(model: EvidenceModel, queried: np.ndarray, true_index: int,
-                    rng: np.random.Generator) -> LikelihoodVector:
-    """Draw one sequence of evidence.
+def classify_until_stop(cfg, rules, log_priors: np.ndarray, rngs: list,
+                        keep_states: bool = False) -> tuple[np.ndarray, np.ndarray, list | None]:
+    """The classify-until-stop loop over a batch of trials.
 
-    One standard normal is drawn per class regardless of the query mask so
-    that the stream layout does not depend on the scheme; unqueried
-    classes get evidence exactly 1.
+    ``cfg`` (a :class:`TrialConfig` or an experiment config) supplies the
+    model, true class, scheme, ``max_sequences`` and ``check_prior``;
+    ``log_priors`` holds each trial's prior log weights ``(T, n)`` and
+    ``rngs`` its random stream, which gives ``n`` normals per sequence.
+
+    Each sequence updates every trial in the log domain and tests every
+    rule on the new states (and on the priors with ``check_prior``).
+    Rules differing only in threshold share their statistic; M5 compares
+    with the state of its previous evaluation.  A trial leaves the batch
+    once every rule has stopped it.
+
+    Returns ``first`` and ``decision`` ``(R, T)``: each rule's first stop
+    and argmax decision there, -1 if it never stopped.  ``keep_states``
+    also returns the log states, one ``(T_s, n)`` array per state for the
+    trials still in the batch; with no rules, that is every trial.
     """
-    z = rng.standard_normal(queried.size)
-    return LikelihoodVector(np.exp(log_evidence(model, true_index, z, queried)))
+    horizon = cfg.max_sequences
+    t_count, n = log_priors.shape
+    first, decision = np.full((2, len(rules), t_count), -1)
+    rows = np.arange(t_count)
+    pending = first < 0
+    families = {(rule.family, rule.alpha): rule for rule in rules}
+    logp = _normalize_log_weights(log_priors)
+    previous = None
+    states = [logp] if keep_states else None
+    z = np.empty((t_count, 0, n))
+    start = drawn = 0
+    for s in range(horizon + 1):
+        if s:
+            if s > drawn:
+                # blocks of 8, 8, 16, 32, ... sequences: a trial draws at most
+                # twice the normals it uses, or 8 sequences' worth
+                size = min(max(drawn, 8), horizon - drawn)
+                z = np.array([rng.standard_normal((size, n)) for rng in rngs])
+                start, drawn = drawn, drawn + size
+            queried = resolve_queried(cfg.scheme, np.exp(logp))
+            log_e = log_evidence(cfg.model, cfg.true_index, z[:, s - 1 - start], queried)
+            logp = _normalize_log_weights(logp + log_e)
+            if keep_states:
+                states.append(logp)
+        if not rules or not (s or cfg.check_prior):
+            continue
+        statistics = {key: stop_statistic(rule, logp, previous)
+                      for key, rule in families.items()}
+        hits = pending & np.array([in_stop_region(rule, statistics[rule.family, rule.alpha])
+                                   for rule in rules])
+        previous = logp
+        if not hits.any():
+            continue
+        r_new, t_new = np.nonzero(hits)
+        first[r_new, rows[t_new]] = s
+        decision[r_new, rows[t_new]] = logp[t_new].argmax(-1)
+        pending ^= hits
+        keep = pending.any(0)
+        if not keep.any():
+            break
+        if not keep.all():
+            rows, pending, z = rows[keep], pending[:, keep], z[keep]
+            logp = previous = logp[keep]
+            rngs = [rng for rng, k in zip(rngs, keep) if k]
+    return first, decision, states
 
 
 def run_trial(config: TrialConfig) -> TrialOutcome:
@@ -164,32 +225,16 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     ``check_prior`` is set (an edge prior can terminate immediately), then
     after every update.  On stop, the decision is the posterior argmax
     with lowest-index tie-break; reaching ``max_sequences`` without a stop
-    censors the trial.
+    censors the trial.  The trajectory holds the loop's own states, so
+    they equal the harness's states for the same trial bit for bit.
     """
-    rng = trial_stream(config.seed, config.trial_index)
-    posterior = config.prior
-    trajectory = [posterior]
-    state = CriterionState()
-    stopped_at: int | None = None
-
-    if config.check_prior:
-        stop, state = should_stop(config.rule, state, posterior)
-        if stop:
-            stopped_at = 0
-
-    if stopped_at is None:
-        for s in range(1, config.max_sequences + 1):
-            queried = resolve_queried(config.scheme, posterior.probs)
-            evidence = sample_evidence(config.model, queried, config.true_index, rng)
-            posterior = oplus(posterior, evidence)
-            trajectory.append(posterior)
-            stop, state = should_stop(config.rule, state, posterior)
-            if stop:
-                stopped_at = s
-                break
-
-    if stopped_at is None:
-        return TrialOutcome(None, None, None, tuple(trajectory))
-    decision = posterior.argmax
-    return TrialOutcome(stopped_at, decision, decision == config.true_index,
-                        tuple(trajectory))
+    first, decision, states = classify_until_stop(
+        config, (config.rule,), config.prior.log_probs[None],
+        [trial_stream(config.seed, config.trial_index)], keep_states=True)
+    path = np.concatenate(states)
+    path.flags.writeable = False
+    trajectory = tuple(map(SimplexPoint._normalized, path))
+    if first[0, 0] < 0:
+        return TrialOutcome(None, None, None, trajectory)
+    stopped_at, choice = int(first[0, 0]), int(decision[0, 0])
+    return TrialOutcome(stopped_at, choice, choice == config.true_index, trajectory)

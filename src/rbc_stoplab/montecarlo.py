@@ -15,9 +15,9 @@ Three bundled benchmark scenarios (``T2``, ``T3``, ``T4``) carry
 reference matrices; ``reproduce_table`` reruns them and reports per-cell
 agreement.  ``run_experiment`` honors the ``RBC_STOPLAB_THREADS``
 environment variable as a worker-count hint; per-trial random substreams
-make the results identical for any worker count.  Stop rules are
-evaluated on the log-domain state tensor through ``criteria``, the same
-definitions ``should_stop`` uses.
+make the results identical for any worker count.  Trials run through
+``engine.classify_until_stop``, the same loop ``run_trial`` runs on a
+batch of one.
 """
 
 from __future__ import annotations
@@ -29,17 +29,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import FAMILIES, StoppingRule, calibrate, in_stop_region, stop_statistic
+from .criteria import FAMILIES, calibrate
 from .engine import (
     Broadcast,
     EvidenceModel,
     QueryScheme,
     TrialConfig,
-    log_evidence,
-    resolve_queried,
+    classify_until_stop,
     trial_stream,
 )
-from .simplex import SimplexPoint, _normalize_log_weights
+from .simplex import SimplexPoint
 
 __all__ = [
     "RandomRemainder",
@@ -111,7 +110,8 @@ class ExperimentConfig:
         prior = (self.prior if isinstance(self.prior, SimplexPoint)
                  else SimplexPoint.uniform(self.n))
         TrialConfig(prior=prior, true_index=self.true_index, rule=rule, model=self.model,
-                    scheme=self.scheme, max_sequences=self.max_sequences)
+                    scheme=self.scheme, max_sequences=self.max_sequences,
+                    seed=self.master_seed)
 
 
 @dataclass
@@ -148,61 +148,49 @@ def _worker_count() -> int:
         return 1
 
 
-def _resolve_prior_log(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
+def _batch(cfg: ExperimentConfig, trial_indices: np.ndarray,
+           stream: int) -> tuple[np.ndarray, list]:
+    """Prior log weights ``(T, n)`` and random streams for a batch of trials;
+    each stream has drawn its trial's prior and goes on with the evidence."""
+    rngs = [trial_stream(cfg.master_seed, int(t), stream) for t in trial_indices]
     if isinstance(cfg.prior, SimplexPoint):
-        return np.array(cfg.prior.log_probs)
-    raw = rng.random(cfg.n - 1)
-    rest = (1.0 - cfg.prior.true_mass) * raw / raw.sum()
-    p = np.empty(cfg.n)
-    p[cfg.true_index] = cfg.prior.true_mass
-    p[np.arange(cfg.n) != cfg.true_index] = rest
-    return np.log(p)
+        return np.tile(cfg.prior.log_probs, (len(rngs), 1)), rngs
+    raw = np.array([rng.random(cfg.n - 1) for rng in rngs])
+    p = np.full((len(rngs), cfg.n), cfg.prior.true_mass)
+    p[:, np.arange(cfg.n) != cfg.true_index] = ((1.0 - cfg.prior.true_mass) * raw
+                                                / raw.sum(1)[:, None])
+    return np.log(p), rngs
 
 
-def _simulate_chunk(cfg: ExperimentConfig, trial_indices: np.ndarray,
-                    stream: int) -> np.ndarray:
-    """Log-domain state tensor (trials, max_sequences + 1, n) for a chunk."""
-    t_count = trial_indices.size
-    s_count, n = cfg.max_sequences, cfg.n
-    prior_logs = np.empty((t_count, n))
-    draws = np.empty((t_count, s_count, n))
-    for row, trial in enumerate(trial_indices):
-        rng = trial_stream(cfg.master_seed, int(trial), stream)
-        prior_logs[row] = _resolve_prior_log(cfg, rng)
-        draws[row] = rng.standard_normal((s_count, n))
-
-    states = np.empty((t_count, s_count + 1, n))
-    logp = states[:, 0] = _normalize_log_weights(prior_logs)
-    for s in range(s_count):
-        queried = resolve_queried(cfg.scheme, np.exp(logp))
-        log_e = log_evidence(cfg.model, cfg.true_index, draws[:, s], queried)
-        logp = states[:, s + 1] = _normalize_log_weights(logp + log_e)
-    return states
-
-
-def _stop_records(rule: StoppingRule, states: np.ndarray, cfg: ExperimentConfig,
-                  statistics: dict) -> tuple[np.ndarray, np.ndarray]:
-    """First stop per trial (-1 if censored) and whether its decision was right.
-
-    ``states`` is a log-domain state tensor; ``statistics`` caches each
-    family's statistic over it, so rules that differ only in threshold
-    compute it once.
-    """
-    # M5 compares state s with state s - 1, so its columns start at state 1.
-    # Without the prior check the first evaluation is on state 1, where M5
-    # has no previous state yet.
-    offset = 1 if rule.family == "M5" else 0
-    key = (rule.family, rule.alpha)
-    if key not in statistics:
-        statistics[key] = (stop_statistic(rule, states[:, 1:], states[:, :-1]) if offset
-                           else stop_statistic(rule, states))
-    reg = in_stop_region(rule, statistics[key])
-    if not cfg.check_prior:
-        reg[:, 0] = False
-    any_stop = reg.any(axis=1)
-    first = np.where(any_stop, reg.argmax(axis=1) + offset, -1)
-    decision = states[np.arange(states.shape[0]), np.maximum(first, 0)].argmax(axis=-1)
-    return first, (decision == cfg.true_index) & any_stop
+def _aggregate(cfg: ExperimentConfig, methods, first: np.ndarray,
+               decision: np.ndarray) -> ExperimentResult:
+    """The result matrices from each rule's first stops and decisions
+    ``(R, T)``, one row per rule."""
+    correct = (decision == cfg.true_index) & (first >= 0)
+    rows, width = first.shape[0], cfg.max_sequences + 2
+    # bin 0 of each rule takes its censored trials (first = -1), bins 1..
+    # its stops at sequences 0..max_sequences; a stop on the bare prior
+    # counts toward the first column
+    bins = (first + 1 + width * np.arange(rows)[:, None]).ravel()
+    stopped_by, correct_by = (
+        np.bincount(b, minlength=rows * width).reshape(rows, width)[:, 1:].cumsum(1)[:, 1:]
+        for b in (bins, bins[correct.ravel()]))
+    stopped = stopped_by[:, -1]
+    p_true = np.divide(correct_by, stopped_by, out=np.zeros(stopped_by.shape),
+                       where=stopped_by > 0)
+    return ExperimentResult(
+        methods=tuple(methods),
+        sequences=np.arange(1, cfg.max_sequences + 1),
+        p_stop=stopped_by / cfg.n_trials,
+        p_true_given_stop=p_true,
+        mean_sequences_to_stop=np.divide(np.where(first >= 0, first, 0).sum(1), stopped,
+                                         out=np.full(rows, math.nan), where=stopped > 0),
+        overall_accuracy=p_true[:, -1],
+        stopped_fraction=stopped / cfg.n_trials,
+        n_trials=cfg.n_trials,
+        first_stop=first,
+        stop_correct=correct,
+    )
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -213,30 +201,22 @@ def run_experiment(cfg: ExperimentConfig,
     per-trial evidence stream; otherwise each method gets its own
     independent substream family.  Aggregation is by trial index, so the
     result does not depend on how trials are chunked across workers.
-    ``keep_trajectories`` stores the shared-stream state tensor
+    ``keep_trajectories`` stores the shared-stream probabilities
     (trials, sequences + 1, n) on the result.
     """
     rules = [calibrate(m, cfg.tau, cfg.n) for m in cfg.methods]
     workers = _worker_count()
     chunks = np.array_split(np.arange(cfg.n_trials), min(workers, cfg.n_trials))
-    chunks = [c for c in chunks if c.size]
-
-    n_methods = len(rules)
-    first = np.empty((n_methods, cfg.n_trials), dtype=np.int64)
-    correct = np.empty((n_methods, cfg.n_trials), dtype=bool)
-    kept = (np.empty((cfg.n_trials, cfg.max_sequences + 1, cfg.n))
-            if keep_trajectories else None)
+    first, decision = np.empty((2, len(rules), cfg.n_trials), dtype=np.int64)
 
     def handle_chunk(chunk: np.ndarray) -> None:
-        states = (_simulate_chunk(cfg, chunk, stream=0)
-                  if cfg.common_random_numbers or kept is not None else None)
-        if kept is not None:
-            kept[chunk] = np.exp(states)
-        statistics: dict = {}
-        for m, rule in enumerate(rules):
-            if not cfg.common_random_numbers:
-                states, statistics = _simulate_chunk(cfg, chunk, stream=1 + m), {}
-            first[m, chunk], correct[m, chunk] = _stop_records(rule, states, cfg, statistics)
+        if cfg.common_random_numbers:
+            first[:, chunk], decision[:, chunk], _ = classify_until_stop(
+                cfg, rules, *_batch(cfg, chunk, stream=0))
+        else:
+            for m, rule in enumerate(rules):
+                first[m, chunk], decision[m, chunk], _ = classify_until_stop(
+                    cfg, [rule], *_batch(cfg, chunk, stream=1 + m))
 
     if len(chunks) == 1:
         handle_chunk(chunks[0])
@@ -244,39 +224,12 @@ def run_experiment(cfg: ExperimentConfig,
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             list(pool.map(handle_chunk, chunks))
 
-    s_count = cfg.max_sequences
-    sequences = np.arange(1, s_count + 1)
-    p_stop = np.empty((n_methods, s_count))
-    p_true = np.empty((n_methods, s_count))
-    stopped = first >= 0
-    for m in range(n_methods):
-        for s in sequences:
-            sel = stopped[m] & (first[m] <= s)
-            k = int(sel.sum())
-            p_stop[m, s - 1] = k / cfg.n_trials
-            p_true[m, s - 1] = (correct[m][sel].sum() / k) if k else 0.0
-
-    mean_stop = np.array([
-        first[m][stopped[m]].mean() if stopped[m].any() else math.nan
-        for m in range(n_methods)
-    ])
-    overall = np.array([
-        (correct[m][stopped[m]].sum() / stopped[m].sum()) if stopped[m].any() else 0.0
-        for m in range(n_methods)
-    ])
-    return ExperimentResult(
-        methods=tuple(cfg.methods),
-        sequences=sequences,
-        p_stop=p_stop,
-        p_true_given_stop=p_true,
-        mean_sequences_to_stop=mean_stop,
-        overall_accuracy=overall,
-        stopped_fraction=stopped.mean(axis=1),
-        n_trials=cfg.n_trials,
-        first_stop=first,
-        stop_correct=correct,
-        trajectories=kept,
-    )
+    result = _aggregate(cfg, cfg.methods, first, decision)
+    if keep_trajectories:
+        states = classify_until_stop(cfg, [], *_batch(cfg, np.arange(cfg.n_trials), stream=0),
+                                     keep_states=True)[2]
+        result.trajectories = np.exp(np.stack(states, axis=1))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +424,14 @@ def speed_accuracy_sweep(cfg: ExperimentConfig, tau_list,
             raise ValueError(f"tau {t} outside (1/{cfg.n}, 1)")
     methods = tuple(m for m in cfg.methods if include_m5 or m != "M5")
 
-    states = _simulate_chunk(cfg, np.arange(cfg.n_trials), stream=0)
-    statistics: dict = {}
-    points: list[SweepPoint] = []
-    for method in methods:
-        for tau in taus:
-            rule = calibrate(method, tau, cfg.n)
-            first, correct = _stop_records(rule, states, cfg, statistics)
-            stopped = first >= 0
-            seq = np.where(stopped, first, cfg.max_sequences).mean()
-            acc = (correct[stopped].sum() / stopped.sum()) if stopped.any() else 0.0
-            points.append(SweepPoint(method, tau, float(seq), float(acc)))
-    return points
+    pairs = [(method, tau) for method in methods for tau in taus]
+    first, decision, _ = classify_until_stop(
+        cfg, [calibrate(method, tau, cfg.n) for method, tau in pairs],
+        *_batch(cfg, np.arange(cfg.n_trials), stream=0))
+    accuracy = _aggregate(cfg, [m for m, _ in pairs], first, decision).overall_accuracy
+    mean_sequences = np.where(first >= 0, first, cfg.max_sequences).sum(1) / cfg.n_trials
+    return [SweepPoint(method, tau, float(seq), float(acc))
+            for (method, tau), seq, acc in zip(pairs, mean_sequences, accuracy)]
 
 
 @dataclass
@@ -499,7 +448,9 @@ def trajectory_ensemble(priors, cfg: ExperimentConfig,
     for k, prior in enumerate(priors):
         sub = replace(cfg, prior=prior, n=prior.n, n_trials=n_paths,
                       master_seed=cfg.master_seed + k)
-        states = np.exp(_simulate_chunk(sub, np.arange(n_paths), stream=0))
+        states = classify_until_stop(sub, [], *_batch(sub, np.arange(n_paths), stream=0),
+                                     keep_states=True)[2]
+        states = np.exp(np.stack(states, axis=1))
         out.append(EnsembleResult(prior=prior, paths=states, mean=states.mean(axis=0)))
     return out
 

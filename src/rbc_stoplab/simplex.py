@@ -51,7 +51,7 @@ def _normalize_log_weights(logw: np.ndarray) -> np.ndarray:
     return logw - (m + np.log(np.exp(logw - m).sum(-1))[..., None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimplexPoint:
     """A categorical distribution ``p`` with ``n >= 2`` classes.
 
@@ -80,6 +80,14 @@ class SimplexPoint:
         lp = _normalize_log_weights(lp)
         lp.flags.writeable = False
         object.__setattr__(self, "log_probs", lp)
+
+    @classmethod
+    def _normalized(cls, log_probs: np.ndarray) -> "SimplexPoint":
+        """Wrap normalized, read-only log probabilities as they are, bit
+        for bit."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "log_probs", log_probs)
+        return point
 
     @classmethod
     def from_probs(cls, probs) -> "SimplexPoint":

@@ -86,6 +86,28 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(blocker) in err
 
+    @pytest.mark.parametrize("key, value", [("mu_pos", "nan"), ("c_pos", "inf"),
+                                            ("mu_neg", "-inf"), ("c_neg", "nan")])
+    @pytest.mark.parametrize("command", ["simulate", "bounds"])
+    def test_non_finite_channel_exit_code(self, tmp_path, capsys, command, key, value):
+        text = "".join(f"{key} = {value}\n" if line.startswith(key + " ") else line + "\n"
+                       for line in GOOD_CONFIG.splitlines())
+        path = write_config(tmp_path, text + f"out_dir = {tmp_path / 'out'}\n")
+        argv = [command, path] + (["--s-range", "1:5"] if command == "bounds" else [])
+        rc = main(argv)
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "table"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("seed = 42", "seed = -1"))
+        argv = {"simulate": ["simulate", path],
+                "table": ["table", "T2", "--seed", "-5", "--out-dir", str(tmp_path / "t")]}
+        rc = main(argv[command])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_bad_method_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path,
                             GOOD_CONFIG.replace("M1,MP,M3", "M1,M9"))

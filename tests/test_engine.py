@@ -12,9 +12,9 @@ from rbc_stoplab.engine import (
     EvidenceModel,
     TopN,
     TrialConfig,
+    log_evidence,
     resolve_queried,
     run_trial,
-    sample_evidence,
     trial_stream,
 )
 from rbc_stoplab.simplex import SimplexPoint, center_line_distance, special_point
@@ -32,31 +32,37 @@ def deterministic_model(eps):
 
 
 class TestSampleEvidence:
+    """One sequence of evidence: a trial stream's normals through ``log_evidence``."""
+
     def test_broadcast_channels(self):
-        rng = trial_stream(1, 0)
-        queried = np.ones(3, dtype=bool)
-        e = sample_evidence(deterministic_model(2.0), queried, 0, rng)
-        np.testing.assert_allclose(e.values, [2.0, 1.0, 1.0])
+        z = trial_stream(1, 0).standard_normal(3)
+        log_e = log_evidence(deterministic_model(2.0), 0, z, np.ones(3, dtype=bool))
+        np.testing.assert_allclose(np.exp(log_e), [2.0, 1.0, 1.0])
 
     def test_unqueried_get_neutral_evidence(self):
-        rng = trial_stream(1, 0)
+        z = trial_stream(1, 0).standard_normal(3)
         queried = np.array([False, True, False])
-        e = sample_evidence(deterministic_model(2.0), queried, 0, rng)
+        log_e = log_evidence(deterministic_model(2.0), 0, z, queried)
         # the true class was not queried, so it gets exactly 1
-        np.testing.assert_allclose(e.values, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(log_e, [0.0, 0.0, 0.0])
 
     def test_all_entries_positive(self):
-        rng = trial_stream(5, 3)
-        for _ in range(100):
-            e = sample_evidence(NOISY, np.ones(4, dtype=bool), 2, rng)
-            assert np.all(e.values > 0)
+        z = trial_stream(5, 3).standard_normal((100, 4))
+        log_e = log_evidence(NOISY, 2, z, np.ones((100, 4), dtype=bool))
+        assert np.all(np.exp(log_e) > 0) and np.all(np.isfinite(log_e))
 
     def test_draw_layout_independent_of_mask(self):
-        # one normal per class is consumed regardless of the query mask
-        e_full = sample_evidence(NOISY, np.ones(3, dtype=bool), 0, trial_stream(9, 0))
-        e_part = sample_evidence(NOISY, np.array([True, False, False]), 0,
-                                 trial_stream(9, 0))
-        assert e_full.values[0] == e_part.values[0]
+        # one normal per class is consumed each sequence whatever the query
+        # mask, so top-1 querying reads the draws broadcast would
+        z = trial_stream(9, 0).standard_normal((2, 3))
+        cfg = TrialConfig(prior=sp([0.5, 0.3, 0.2]), true_index=0,
+                          rule=calibrate("M1", 1.0, 3), model=NOISY, scheme=TopN(1),
+                          max_sequences=2, seed=9, check_prior=False)
+        point = cfg.prior
+        for s, state in enumerate(run_trial(cfg).trajectory[1:]):
+            queried = resolve_queried(TopN(1), point.probs)
+            point = SimplexPoint(point.log_probs + log_evidence(NOISY, 0, z[s], queried))
+            np.testing.assert_allclose(state.probs, point.probs, rtol=1e-12)
 
 
 class TestResolveQueried:
@@ -223,3 +229,12 @@ class TestConfigValidation:
                         scheme=TopN(7))
         with pytest.raises(ValueError):
             EvidenceModel(0.5, -0.1, 0.0, 0.5)
+        with pytest.raises(ValueError, match="seed"):
+            TrialConfig(prior=prior, true_index=0, rule=rule, model=NOISY, seed=-1)
+
+    @pytest.mark.parametrize("key", ["mu_pos", "c_pos", "mu_neg", "c_neg"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_channels(self, key, value):
+        params = dict(mu_pos=0.6, c_pos=0.5, mu_neg=0.0, c_neg=0.5)
+        with pytest.raises(ValueError, match=key):
+            EvidenceModel(**{**params, key: value})

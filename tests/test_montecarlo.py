@@ -4,10 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rbc_stoplab.engine import Broadcast, EvidenceModel, TopN, TrialConfig, run_trial
-from rbc_stoplab.criteria import FAMILIES, calibrate
+from rbc_stoplab.criteria import FAMILIES, CriterionState, calibrate, should_stop
+from rbc_stoplab.engine import (
+    Broadcast,
+    EvidenceModel,
+    TopN,
+    TrialConfig,
+    log_evidence,
+    resolve_queried,
+    run_trial,
+    trial_stream,
+)
 from rbc_stoplab.montecarlo import (
     ExperimentConfig,
     RandomRemainder,
@@ -182,24 +191,70 @@ def trial_cases(draw):
     )
 
 
+def oracle_trial(cfg, rule, trial_index):
+    """First stop (-1 if censored) and decision of one trial, stepped one
+    point at a time through the public single-point API: the reference
+    the batched loop is checked against."""
+    rng = trial_stream(cfg.master_seed, trial_index)
+    point, state = SimplexPoint(cfg.prior.log_probs), CriterionState()
+    for s in range(cfg.max_sequences + 1):
+        if s:
+            z = rng.standard_normal(cfg.n)
+            queried = resolve_queried(cfg.scheme, point.probs)
+            point = SimplexPoint(point.log_probs
+                                 + log_evidence(cfg.model, cfg.true_index, z, queried))
+        if s or cfg.check_prior:
+            stop, state = should_stop(rule, state, point)
+            if stop:
+                return s, point.argmax
+    return -1, None
+
+
+def extreme_case(model, **overrides):
+    return ExperimentConfig(**{**dict(
+        n=3, prior=sp([0.42, 0.55, 0.03]), tau=0.8, methods=FAMILIES, model=model,
+        n_trials=6, max_sequences=5, master_seed=7), **overrides})
+
+
 class TestHarnessMatchesEngine:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(trial_cases())
+    # evidence of exactly zero after exp: the log-domain paths still agree
+    @example(extreme_case(EvidenceModel(0.6, 0.5, -800.0, 0.0)))
+    @example(extreme_case(EvidenceModel(800.0, 0.0, 0.0, 0.5)))
+    # a uniform prior on the stop boundaries, moved by evidence of log-sd 2.2e-16
+    @example(extreme_case(EvidenceModel(1.0, 2.2e-16, 1.0, 0.0), n=2,
+                          prior=SimplexPoint.uniform(2), tau=0.5000000000000001,
+                          max_sequences=2, master_seed=0, check_prior=False))
     def test_first_stop_and_correctness_per_trial(self, cfg):
-        # the vectorized harness and the single-trial loop are separate
-        # implementations of one semantics; they must agree trial by trial
+        # the batched harness and the single-trial run agree with a
+        # point-by-point oracle, trial by trial
         res = run_experiment(cfg)
         for m, method in enumerate(cfg.methods):
             rule = calibrate(method, cfg.tau, cfg.n)
             for t in range(cfg.n_trials):
+                first, decision = oracle_trial(cfg, rule, t)
+                assert res.first_stop[m, t] == first, (method, t)
+                assert bool(res.stop_correct[m, t]) == (decision == cfg.true_index), (method, t)
                 out = run_trial(TrialConfig(
                     prior=cfg.prior, true_index=cfg.true_index, rule=rule,
                     model=cfg.model, scheme=cfg.scheme,
                     max_sequences=cfg.max_sequences, seed=cfg.master_seed,
                     trial_index=t, check_prior=cfg.check_prior))
-                expected = -1 if out.stopped_at is None else out.stopped_at
-                assert res.first_stop[m, t] == expected, (method, t)
-                assert bool(res.stop_correct[m, t]) == bool(out.correct), (method, t)
+                assert (out.stopped_at, out.decision) == \
+                    ((None, None) if first < 0 else (first, decision)), (method, t)
+
+    @pytest.mark.parametrize("scheme", [Broadcast(), TopN(2)])
+    def test_run_trial_trajectory_is_the_harness_path(self, scheme):
+        cfg = small_config(n_trials=20, methods=("M1",), scheme=scheme)
+        kept = run_experiment(cfg, keep_trajectories=True).trajectories
+        for t in range(cfg.n_trials):
+            out = run_trial(TrialConfig(
+                prior=cfg.prior, true_index=0, rule=calibrate("M1", cfg.tau, cfg.n),
+                model=cfg.model, scheme=scheme, max_sequences=cfg.max_sequences,
+                seed=cfg.master_seed, trial_index=t))
+            path = np.exp([point.log_probs for point in out.trajectory])
+            np.testing.assert_array_equal(path, kept[t, :len(path)])
 
 
 class TestConfigValidation:
@@ -210,6 +265,10 @@ class TestConfigValidation:
     def test_rejects_tau_outside_calibration_domain(self):
         with pytest.raises(ValueError, match="tau"):
             small_config(tau=0.1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            small_config(master_seed=-1)
 
 
 class TestReferenceTables:
