@@ -3,8 +3,9 @@
 Configuration files are flat ``key = value`` text with ``#`` comments.
 Every run writes its outputs as CSV under the configured output
 directory together with a ``manifest.txt`` holding the fully resolved
-configuration (itself a valid config file), so any run can be reproduced
-byte-for-byte from its manifest.
+configuration, all through :func:`write_outputs`.  The manifests of
+``simulate``, ``sweep``, ``bounds`` and ``trajectories`` are valid config
+files that rerun their own command byte-for-byte.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,14 +25,15 @@ from .montecarlo import (
     ExperimentConfig,
     RandomRemainder,
     TABLE_IDS,
-    _fmt,
     comparison_to_csv,
+    format_cell,
     letters_projection,
     reproduce_table,
     result_to_csv_dir,
     run_experiment,
     speed_accuracy_sweep,
     trajectory_ensemble,
+    write_csv,
 )
 from .simplex import SimplexPoint
 
@@ -56,8 +59,12 @@ class ConfigError(Exception):
     pass
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat key-value config; errors carry the offending line."""
+def parse_config_file(path: str, own_key: str | None = None) -> dict[str, str]:
+    """Read a flat key-value config; errors carry the offending line.
+
+    ``own_key`` is the one extra key a command accepts: the value of its
+    own option, which its manifest records.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
@@ -70,7 +77,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
             key, _, value = stripped.partition("=")
             key, value = key.strip(), value.split("#", 1)[0].strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _CONFIG_KEYS and key != own_key:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if not value:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} has no value")
@@ -157,36 +164,55 @@ def build_experiment_config(raw: dict[str, str]) -> tuple[ExperimentConfig, dict
     return cfg, resolved
 
 
-def write_manifest(out_dir: str, entries: dict[str, str]) -> None:
+def _own_option(args, resolved: dict[str, str], key: str, default: str | None = None) -> str:
+    """A command's own option: its flag if given, else the config's ``key``,
+    else ``default``; the manifest records the value used."""
+    flag = getattr(args, key)
+    if flag is not None:
+        resolved[key] = str(flag)
+    elif key not in resolved:
+        if default is None:
+            raise ConfigError(f"--{key.replace('_', '-')} is required "
+                              f"(or key {key!r} in the config)")
+        resolved[key] = default
+    return resolved[key]
+
+
+def write_outputs(out_dir: str, manifest: dict, csvs=(), result=None,
+                  comparison=None) -> None:
+    """Create ``out_dir``, write a run's CSVs, then its ``manifest.txt``.
+
+    ``csvs`` holds ``(file name, header, rows)`` triples; ``result`` adds
+    the experiment matrices and summary, ``comparison`` a table comparison.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    if comparison is not None:
+        comparison_to_csv(comparison,
+                          os.path.join(out_dir, f"comparison_{comparison.table}.csv"))
+    if result is not None:
+        result_to_csv_dir(result, out_dir)
+    for name, header, rows in csvs:
+        write_csv(os.path.join(out_dir, name), header, rows)
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key} = {value}\n")
+        fh.writelines(f"{key} = {format_cell(value)}\n" for key, value in manifest.items())
 
 
 def _cmd_simulate(args) -> int:
     cfg, resolved = build_experiment_config(parse_config_file(args.config))
     result = run_experiment(cfg)
-    out_dir = resolved["out_dir"]
-    result_to_csv_dir(result, out_dir)
-    write_manifest(out_dir, resolved)
+    write_outputs(resolved["out_dir"], resolved, result=result)
     print(f"wrote results for {len(cfg.methods)} methods x "
-          f"{cfg.max_sequences} sequences to {out_dir}")
+          f"{cfg.max_sequences} sequences to {resolved['out_dir']}")
     return 0
 
 
 def _cmd_table(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     comp = reproduce_table(args.table, n_trials=args.trials, master_seed=args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
-    comparison_to_csv(comp, os.path.join(args.out_dir, f"comparison_{args.table}.csv"))
-    result_to_csv_dir(comp.result, args.out_dir)
-    write_manifest(args.out_dir, {
-        "table": args.table,
-        "trials": str(args.trials),
-        "seed": str(args.seed),
-        "tolerance": _fmt(comp.tolerance),
-        "out_dir": args.out_dir,
-    })
+    write_outputs(args.out_dir, {"table": args.table, "trials": args.trials, "seed": args.seed,
+                                 "tolerance": comp.tolerance, "out_dir": args.out_dir},
+                  result=comp.result, comparison=comp)
     n_fail = len(comp.failures())
     print(f"table {args.table}: {len(comp.cells) - n_fail}/{len(comp.cells)} cells "
           f"within {comp.tolerance}")
@@ -194,23 +220,16 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, resolved = build_experiment_config(parse_config_file(args.config))
+    cfg, resolved = build_experiment_config(parse_config_file(args.config, "tau_list"))
     try:
-        taus = [float(t) for t in args.tau_list.split(",")]
+        taus = [float(t) for t in _own_option(args, resolved, "tau_list").split(",")]
     except ValueError:
-        print("error: --tau-list must be comma-separated numbers", file=sys.stderr)
-        return USAGE_ERROR
+        raise ConfigError("--tau-list must be comma-separated numbers") from None
     points = speed_accuracy_sweep(cfg, taus)
-    out_dir = resolved["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("method,tau,mean_sequences,mean_accuracy\n")
-        for p in points:
-            fh.write(f"{p.method},{_fmt(p.tau)},{_fmt(p.mean_sequences)},"
-                     f"{_fmt(p.mean_accuracy)}\n")
-    resolved["tau_list"] = args.tau_list
-    write_manifest(out_dir, resolved)
-    print(f"wrote {len(points)} sweep points to {out_dir}")
+    write_outputs(resolved["out_dir"], resolved, [(
+        "sweep.csv", ["method", "tau", "mean_sequences", "mean_accuracy"],
+        ([p.method, p.tau, p.mean_sequences, p.mean_accuracy] for p in points))])
+    print(f"wrote {len(points)} sweep points to {resolved['out_dir']}")
     return 0
 
 
@@ -222,69 +241,46 @@ def _parse_s_range(text: str) -> list[int]:
 
 
 def _cmd_bounds(args) -> int:
-    cfg, resolved = build_experiment_config(parse_config_file(args.config))
+    cfg, resolved = build_experiment_config(parse_config_file(args.config, "s_range"))
     if not isinstance(cfg.prior, SimplexPoint):
-        print("error: key 'prior': bounds need an explicit prior vector", file=sys.stderr)
-        return USAGE_ERROR
+        raise ConfigError("key 'prior': bounds need an explicit prior vector")
     try:
-        s_values = _parse_s_range(args.s_range)
+        s_values = _parse_s_range(_own_option(args, resolved, "s_range"))
     except ValueError:
-        print("error: --s-range must be 'lo:hi' or comma-separated integers",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ConfigError("--s-range must be 'lo:hi' or comma-separated integers") from None
     probs = np.array(cfg.prior.probs)
     probs[cfg.true_index] = -1.0
     competitor = int(np.argmax(probs))
     query = bounds_mod.BoundQuery(cfg.prior, cfg.true_index, competitor, cfg.tau,
                                   mu=cfg.model.mu_pos, c=cfg.model.c_pos)
     report = bounds_mod.verify_prop5_ordering(query, s_values)
-    out_dir = resolved["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "bounds.csv"), "w", encoding="utf-8") as fh:
-        fh.write("s,tp_m1,tp_mp,tp_m2norm,fa_m1,fa_mp,fa_m1bar,ordering_ok\n")
-        for i, s in enumerate(report.s_values):
-            if cfg.tau > 0.5:
-                q3 = bounds_mod.BoundQuery(cfg.prior, cfg.true_index, competitor,
-                                           cfg.tau, mu=cfg.model.mu_pos,
-                                           c=cfg.model.c_pos, s=s, rule_kind="M2norm")
-                tp3 = _fmt(bounds_mod.stop_probability_lognormal(q3))
-            else:
-                tp3 = "nan"
-            fh.write(",".join([
-                str(s), _fmt(report.tp_m1[i]), _fmt(report.tp_mp[i]), tp3,
-                _fmt(report.fa_m1[i]), _fmt(report.fa_mp[i]),
-                _fmt(report.fa_m1bar[i]), str(report.ok).lower(),
-            ]) + "\n")
-    resolved["s_range"] = args.s_range
-    write_manifest(out_dir, resolved)
+    rows = []
+    for i, s in enumerate(report.s_values):
+        tp_m2norm = (bounds_mod.stop_probability_lognormal(
+            replace(query, s=s, rule_kind="M2norm")) if cfg.tau > 0.5 else np.nan)
+        rows.append([s, report.tp_m1[i], report.tp_mp[i], tp_m2norm, report.fa_m1[i],
+                     report.fa_mp[i], report.fa_m1bar[i], report.ok])
+    write_outputs(resolved["out_dir"], resolved, [(
+        "bounds.csv", ["s", "tp_m1", "tp_mp", "tp_m2norm", "fa_m1", "fa_mp", "fa_m1bar",
+                       "ordering_ok"], rows)])
     if report.violations:
         print("ordering violations:\n  " + "\n  ".join(report.violations))
     else:
-        print(f"wrote bounds for {len(report.s_values)} sequence counts to {out_dir}; "
-              "orderings hold")
+        print(f"wrote bounds for {len(report.s_values)} sequence counts to "
+              f"{resolved['out_dir']}; orderings hold")
     return 0
 
 
 def _cmd_boundary(args) -> int:
     if args.method not in FAMILIES or args.method == "M5":
-        print(f"error: method must be one of "
-              f"{[m for m in FAMILIES if m != 'M5']}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ConfigError(f"method must be one of {[m for m in FAMILIES if m != 'M5']}")
     rule = calibrate(args.method, args.tau, 3)
     points = boundary_sample(rule, args.resolution)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, f"boundary_{args.method}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("p1,p2,p3\n")
-        for pt in points:
-            fh.write(",".join(_fmt(v) for v in pt.probs) + "\n")
-    write_manifest(args.out_dir, {
-        "method": args.method,
-        "tau": _fmt(args.tau),
-        "resolution": str(args.resolution),
-        "out_dir": args.out_dir,
-    })
-    print(f"wrote {len(points)} boundary points to {path}")
+    name = f"boundary_{args.method}.csv"
+    write_outputs(args.out_dir, {"method": args.method, "tau": args.tau,
+                                 "resolution": args.resolution, "out_dir": args.out_dir},
+                  [(name, ["p1", "p2", "p3"], (pt.probs for pt in points))])
+    print(f"wrote {len(points)} boundary points to {os.path.join(args.out_dir, name)}")
     return 0
 
 
@@ -296,28 +292,21 @@ def _cmd_letters(args) -> int:
 
 
 def _cmd_trajectories(args) -> int:
-    cfg, resolved = build_experiment_config(parse_config_file(args.config))
+    cfg, resolved = build_experiment_config(parse_config_file(args.config, "paths"))
     if not isinstance(cfg.prior, SimplexPoint):
-        print("error: key 'prior': trajectories need an explicit prior vector",
-              file=sys.stderr)
-        return USAGE_ERROR
-    ensembles = trajectory_ensemble([cfg.prior], cfg, n_paths=args.paths)
-    ens = ensembles[0]
-    out_dir = resolved["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    cols = ",".join(f"p{i + 1}" for i in range(cfg.n))
-    with open(os.path.join(out_dir, "trajectory_mean.csv"), "w", encoding="utf-8") as fh:
-        fh.write("s," + cols + "\n")
-        for s, row in enumerate(ens.mean):
-            fh.write(str(s) + "," + ",".join(_fmt(v) for v in row) + "\n")
-    with open(os.path.join(out_dir, "trajectory_paths.csv"), "w", encoding="utf-8") as fh:
-        fh.write("path,s," + cols + "\n")
-        for k, path_states in enumerate(ens.paths):
-            for s, row in enumerate(path_states):
-                fh.write(f"{k},{s}," + ",".join(_fmt(v) for v in row) + "\n")
-    resolved["paths"] = str(args.paths)
-    write_manifest(out_dir, resolved)
-    print(f"wrote {len(ens.paths)} trajectories to {out_dir}")
+        raise ConfigError("key 'prior': trajectories need an explicit prior vector")
+    _own_option(args, resolved, "paths", default="100")
+    paths = _parse_int(resolved, "paths")
+    if paths < 1:
+        raise ConfigError(f"--paths must be at least 1, got {paths}")
+    ens = trajectory_ensemble([cfg.prior], cfg, n_paths=paths)[0]
+    cols = [f"p{i + 1}" for i in range(cfg.n)]
+    write_outputs(resolved["out_dir"], resolved, [
+        ("trajectory_mean.csv", ["s", *cols], ([s, *row] for s, row in enumerate(ens.mean))),
+        ("trajectory_paths.csv", ["path", "s", *cols],
+         ([k, s, *row] for k, path in enumerate(ens.paths) for s, row in enumerate(path))),
+    ])
+    print(f"wrote {len(ens.paths)} trajectories to {resolved['out_dir']}")
     return 0
 
 
@@ -341,12 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="speed-accuracy sweep over confidence anchors")
     p.add_argument("config")
-    p.add_argument("--tau-list", required=True)
+    p.add_argument("--tau-list")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bounds", help="analytic stop/false-stop probabilities")
     p.add_argument("config")
-    p.add_argument("--s-range", required=True)
+    p.add_argument("--s-range")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("boundary", help="trace a rule's decision boundary on the 3-simplex")
@@ -365,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectories", help="simulate trajectory bundles from a prior")
     p.add_argument("config")
-    p.add_argument("--paths", type=int, default=100)
+    p.add_argument("--paths", type=int)
     p.set_defaults(func=_cmd_trajectories)
 
     return parser

@@ -11,8 +11,8 @@ Reproducibility contract: every trial consumes a dedicated substream
 derived from ``(master_seed, trial_index)`` via numpy's SeedSequence
 spawn-key mechanism feeding a Philox generator, and each sequence draws
 one standard normal per class (unqueried draws are discarded).  Results
-are therefore bit-identical regardless of execution order or worker
-count.
+are therefore bit-identical regardless of execution order or of how
+trials are batched.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ class TrialConfig:
             raise ValueError("max_sequences must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.trial_index < 0:
+            raise ValueError(f"trial_index must be nonnegative, got {self.trial_index}")
         if isinstance(self.scheme, TopN) and self.scheme.n_queries > self.prior.n:
             raise ValueError(f"scheme queries {self.scheme.n_queries} classes "
                              f"but only {self.prior.n} exist")

@@ -13,18 +13,15 @@ accuracy matrices:
 
 Three bundled benchmark scenarios (``T2``, ``T3``, ``T4``) carry
 reference matrices; ``reproduce_table`` reruns them and reports per-cell
-agreement.  ``run_experiment`` honors the ``RBC_STOPLAB_THREADS``
-environment variable as a worker-count hint; per-trial random substreams
-make the results identical for any worker count.  Trials run through
-``engine.classify_until_stop``, the same loop ``run_trial`` runs on a
-batch of one.
+agreement.  Trials run through ``engine.classify_until_stop``, the same
+loop ``run_trial`` runs on a batch of one, on per-trial random
+substreams.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,6 +58,8 @@ __all__ = [
     "result_to_csv_dir",
     "result_from_csv_dir",
     "comparison_to_csv",
+    "write_csv",
+    "format_cell",
 ]
 
 DEFAULT_TABLE_SEED = 20210814
@@ -140,19 +139,10 @@ class ExperimentResult:
         return self.methods.index(method)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("RBC_STOPLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _batch(cfg: ExperimentConfig, trial_indices: np.ndarray,
-           stream: int) -> tuple[np.ndarray, list]:
-    """Prior log weights ``(T, n)`` and random streams for a batch of trials;
+def _batch(cfg: ExperimentConfig, stream: int) -> tuple[np.ndarray, list]:
+    """Prior log weights ``(T, n)`` and random streams for every trial;
     each stream has drawn its trial's prior and goes on with the evidence."""
-    rngs = [trial_stream(cfg.master_seed, int(t), stream) for t in trial_indices]
+    rngs = [trial_stream(cfg.master_seed, t, stream) for t in range(cfg.n_trials)]
     if isinstance(cfg.prior, SimplexPoint):
         return np.tile(cfg.prior.log_probs, (len(rngs), 1)), rngs
     raw = np.array([rng.random(cfg.n - 1) for rng in rngs])
@@ -198,36 +188,23 @@ def run_experiment(cfg: ExperimentConfig,
     """Run all trials for all methods and aggregate the matrices.
 
     With common random numbers (the default) every method sees the same
-    per-trial evidence stream; otherwise each method gets its own
-    independent substream family.  Aggregation is by trial index, so the
-    result does not depend on how trials are chunked across workers.
-    ``keep_trajectories`` stores the shared-stream probabilities
+    per-trial evidence stream and all trials run through one loop;
+    otherwise each method gets its own independent substream family and
+    loop.  ``keep_trajectories`` stores the shared-stream probabilities
     (trials, sequences + 1, n) on the result.
     """
     rules = [calibrate(m, cfg.tau, cfg.n) for m in cfg.methods]
-    workers = _worker_count()
-    chunks = np.array_split(np.arange(cfg.n_trials), min(workers, cfg.n_trials))
-    first, decision = np.empty((2, len(rules), cfg.n_trials), dtype=np.int64)
-
-    def handle_chunk(chunk: np.ndarray) -> None:
-        if cfg.common_random_numbers:
-            first[:, chunk], decision[:, chunk], _ = classify_until_stop(
-                cfg, rules, *_batch(cfg, chunk, stream=0))
-        else:
-            for m, rule in enumerate(rules):
-                first[m, chunk], decision[m, chunk], _ = classify_until_stop(
-                    cfg, [rule], *_batch(cfg, chunk, stream=1 + m))
-
-    if len(chunks) == 1:
-        handle_chunk(chunks[0])
+    if cfg.common_random_numbers:
+        first, decision, _ = classify_until_stop(cfg, rules, *_batch(cfg, stream=0))
     else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(handle_chunk, chunks))
+        first, decision = np.empty((2, len(rules), cfg.n_trials), dtype=np.int64)
+        for m, rule in enumerate(rules):
+            first[m], decision[m], _ = classify_until_stop(cfg, [rule],
+                                                           *_batch(cfg, stream=1 + m))
 
     result = _aggregate(cfg, cfg.methods, first, decision)
     if keep_trajectories:
-        states = classify_until_stop(cfg, [], *_batch(cfg, np.arange(cfg.n_trials), stream=0),
-                                     keep_states=True)[2]
+        states = classify_until_stop(cfg, [], *_batch(cfg, stream=0), keep_states=True)[2]
         result.trajectories = np.exp(np.stack(states, axis=1))
     return result
 
@@ -416,18 +393,15 @@ def speed_accuracy_sweep(cfg: ExperimentConfig, tau_list,
     One evidence simulation is shared by every ``tau`` and method.
     Censored trials count ``max_sequences`` toward the mean stop time.
     The consecutive-KL rule is excluded by default (it does not depend on
-    ``tau`` and dominates the time axis).
+    ``tau`` and dominates the time axis).  Each anchor must lie in
+    :func:`calibrate`'s domain ``(1/n, 1]``.
     """
     taus = [float(t) for t in tau_list]
-    for t in taus:
-        if not (1.0 / cfg.n < t < 1.0):
-            raise ValueError(f"tau {t} outside (1/{cfg.n}, 1)")
     methods = tuple(m for m in cfg.methods if include_m5 or m != "M5")
 
     pairs = [(method, tau) for method in methods for tau in taus]
-    first, decision, _ = classify_until_stop(
-        cfg, [calibrate(method, tau, cfg.n) for method, tau in pairs],
-        *_batch(cfg, np.arange(cfg.n_trials), stream=0))
+    rules = [calibrate(method, tau, cfg.n) for method, tau in pairs]
+    first, decision, _ = classify_until_stop(cfg, rules, *_batch(cfg, stream=0))
     accuracy = _aggregate(cfg, [m for m, _ in pairs], first, decision).overall_accuracy
     mean_sequences = np.where(first >= 0, first, cfg.max_sequences).sum(1) / cfg.n_trials
     return [SweepPoint(method, tau, float(seq), float(acc))
@@ -448,8 +422,7 @@ def trajectory_ensemble(priors, cfg: ExperimentConfig,
     for k, prior in enumerate(priors):
         sub = replace(cfg, prior=prior, n=prior.n, n_trials=n_paths,
                       master_seed=cfg.master_seed + k)
-        states = classify_until_stop(sub, [], *_batch(sub, np.arange(n_paths), stream=0),
-                                     keep_states=True)[2]
+        states = classify_until_stop(sub, [], *_batch(sub, stream=0), keep_states=True)[2]
         states = np.exp(np.stack(states, axis=1))
         out.append(EnsembleResult(prior=prior, paths=states, mean=states.mean(axis=0)))
     return out
@@ -489,15 +462,28 @@ def letters_projection(acc: float, e_seq: float, total_letters: int = 100,
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def format_cell(x) -> str:
+    """One CSV cell or manifest value: text as given, a boolean as
+    ``true``/``false``, an integer in full, any other number at 17
+    significant digits."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x)).lower()
+    return str(x) if isinstance(x, (int, np.integer)) else format(float(x), ".17g")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line of column names, then one line per row of cells."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(format_cell, row)) + "\n")
 
 
 def write_matrix_csv(path, methods, sequences, matrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method," + ",".join(f"s{int(s)}" for s in sequences) + "\n")
-        for m, row in zip(methods, matrix):
-            fh.write(m + "," + ",".join(_fmt(v) for v in row) + "\n")
+    write_csv(path, ["method"] + [f"s{int(s)}" for s in sequences],
+              ([m, *row] for m, row in zip(methods, matrix)))
 
 
 def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -514,21 +500,15 @@ def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
 
 def result_to_csv_dir(result: ExperimentResult, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    write_matrix_csv(os.path.join(out_dir, "p_stop.csv"),
-                     result.methods, result.sequences, result.p_stop)
-    write_matrix_csv(os.path.join(out_dir, "p_true_given_stop.csv"),
-                     result.methods, result.sequences, result.p_true_given_stop)
-    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write("method,mean_sequences_to_stop,overall_accuracy,"
-                 "stopped_fraction,n_trials\n")
-        for i, m in enumerate(result.methods):
-            fh.write(",".join([
-                m,
-                _fmt(result.mean_sequences_to_stop[i]),
-                _fmt(result.overall_accuracy[i]),
-                _fmt(result.stopped_fraction[i]),
-                str(result.n_trials),
-            ]) + "\n")
+    for name in ("p_stop", "p_true_given_stop"):
+        write_matrix_csv(os.path.join(out_dir, f"{name}.csv"),
+                         result.methods, result.sequences, getattr(result, name))
+    write_csv(os.path.join(out_dir, "summary.csv"),
+              ["method", "mean_sequences_to_stop", "overall_accuracy", "stopped_fraction",
+               "n_trials"],
+              ([*cells, result.n_trials] for cells in zip(
+                  result.methods, result.mean_sequences_to_stop, result.overall_accuracy,
+                  result.stopped_fraction)))
 
 
 def result_from_csv_dir(out_dir) -> ExperimentResult:
@@ -559,11 +539,7 @@ def result_from_csv_dir(out_dir) -> ExperimentResult:
 
 
 def comparison_to_csv(comp: TableComparison, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("table,method,sequence,metric,paper,repro,abs_delta,pass\n")
-        for c in comp.cells:
-            fh.write(",".join([
-                c.table, c.method, str(c.sequence), c.metric,
-                _fmt(c.paper), _fmt(c.repro), _fmt(c.abs_delta),
-                str(c.abs_delta <= comp.tolerance).lower(),
-            ]) + "\n")
+    write_csv(path, ["table", "method", "sequence", "metric", "paper", "repro", "abs_delta",
+                     "pass"],
+              ([c.table, c.method, c.sequence, c.metric, c.paper, c.repro, c.abs_delta,
+                c.abs_delta <= comp.tolerance] for c in comp.cells))

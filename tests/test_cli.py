@@ -156,6 +156,11 @@ class TestTable:
             assert read_bytes(os.path.join(out_a, name)) == \
                 read_bytes(os.path.join(out_b, name))
 
+    def test_zero_trials_names_option(self, tmp_path, capsys):
+        rc = main(["table", "T2", "--trials", "0", "--out-dir", str(tmp_path / "t")])
+        assert rc == 2
+        assert "--trials" in capsys.readouterr().err
+
 
 class TestBoundary:
     def test_gap_boundary_points(self, tmp_path, capsys):
@@ -205,6 +210,13 @@ class TestSweepCommand:
             blobs.append(read_bytes(out_dir / "sweep.csv"))
         assert blobs[0] == blobs[1]
 
+    def test_tau_one_runs(self, tmp_path):
+        out_dir = tmp_path / "sw"
+        cfg = GOOD_CONFIG + f"out_dir = {out_dir}\n"
+        assert main(["sweep", write_config(tmp_path, cfg), "--tau-list", "1.0"]) == 0
+        rows = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["8", "8", "8"]
+
 
 class TestBoundsCommand:
     def test_writes_bounds_table(self, tmp_path, capsys):
@@ -216,6 +228,13 @@ class TestBoundsCommand:
         assert lines[0] == "s,tp_m1,tp_mp,tp_m2norm,fa_m1,fa_mp,fa_m1bar,ordering_ok"
         assert len(lines) == 11
         assert all(line.endswith("true") for line in lines[1:])
+
+    def test_no_m2norm_bound_at_low_tau(self, tmp_path):
+        out_dir = tmp_path / "bd"
+        cfg = GOOD_CONFIG.replace("tau = 0.8", "tau = 0.45") + f"out_dir = {out_dir}\n"
+        assert main(["bounds", write_config(tmp_path, cfg), "--s-range", "1,4"]) == 0
+        lines = (out_dir / "bounds.csv").read_text().splitlines()
+        assert [line.split(",")[3] for line in lines] == ["tp_m2norm", "nan", "nan"]
 
 
 class TestTrajectoriesCommand:
@@ -229,3 +248,61 @@ class TestTrajectoriesCommand:
         assert len(mean_lines) == 1 + 9  # prior plus eight sequences
         path_lines = (out_dir / "trajectory_paths.csv").read_text().splitlines()
         assert len(path_lines) == 1 + 7 * 9
+
+    @pytest.mark.parametrize("paths", ["0", "-3"])
+    def test_bad_path_count_names_option(self, tmp_path, capsys, paths):
+        cfg = GOOD_CONFIG + f"out_dir = {tmp_path / 'tr'}\n"
+        rc = main(["trajectories", write_config(tmp_path, cfg), "--paths", paths])
+        assert rc == 2
+        assert "--paths" in capsys.readouterr().err
+        assert not (tmp_path / "tr").exists()
+
+
+class TestManifestReruns:
+    """Each command's manifest records its own option and reruns that
+    command byte for byte; a given flag overrides the recorded value."""
+
+    COMMANDS = {
+        "sweep": (["--tau-list", "0.7,0.8"], ["sweep.csv"]),
+        "bounds": (["--s-range", "1:6"], ["bounds.csv"]),
+        "trajectories": (["--paths", "5"], ["trajectory_mean.csv", "trajectory_paths.csv"]),
+    }
+
+    def run_twice(self, tmp_path, command, rerun_flags):
+        flags, outputs = self.COMMANDS[command]
+        out_dir = tmp_path / "out"
+        cfg = GOOD_CONFIG + f"out_dir = {out_dir}\n"
+        assert main([command, write_config(tmp_path, cfg), *flags]) == 0
+        first = {name: read_bytes(out_dir / name) for name in outputs + ["manifest.txt"]}
+        assert main([command, str(out_dir / "manifest.txt"), *rerun_flags]) == 0
+        return first, {name: read_bytes(out_dir / name) for name in first}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_manifest_reruns_byte_identical(self, tmp_path, command):
+        first, second = self.run_twice(tmp_path, command, [])
+        assert first == second
+
+    @pytest.mark.parametrize("command, flags, key, value", [
+        ("sweep", ["--tau-list", "0.9"], "tau_list", "0.9"),
+        ("bounds", ["--s-range", "2,3"], "s_range", "2,3"),
+        ("trajectories", ["--paths", "2"], "paths", "2"),
+    ])
+    def test_flag_overrides_manifest(self, tmp_path, command, flags, key, value):
+        first, second = self.run_twice(tmp_path, command, flags)
+        assert first != second
+        assert f"{key} = {value}\n" in second["manifest.txt"].decode()
+
+    @pytest.mark.parametrize("command, flag", [("sweep", "--tau-list"),
+                                               ("bounds", "--s-range")])
+    def test_missing_option_names_flag(self, tmp_path, capsys, command, flag):
+        cfg = GOOD_CONFIG + f"out_dir = {tmp_path / 'out'}\n"
+        assert main([command, write_config(tmp_path, cfg)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_other_command_rejects_recorded_option(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = GOOD_CONFIG + f"out_dir = {out_dir}\n"
+        assert main(["sweep", write_config(tmp_path, cfg), "--tau-list", "0.7"]) == 0
+        assert main(["simulate", str(out_dir / "manifest.txt")]) == 2
+        assert "unknown key 'tau_list'" in capsys.readouterr().err

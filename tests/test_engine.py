@@ -232,6 +232,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):
             TrialConfig(prior=prior, true_index=0, rule=rule, model=NOISY, seed=-1)
 
+    def test_rejects_negative_trial_index(self):
+        with pytest.raises(ValueError, match="trial_index"):
+            TrialConfig(prior=sp([0.5, 0.3, 0.2]), true_index=0,
+                        rule=calibrate("M1", 0.8, 3), model=NOISY, trial_index=-1)
+
     @pytest.mark.parametrize("key", ["mu_pos", "c_pos", "mu_neg", "c_neg"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_channels(self, key, value):

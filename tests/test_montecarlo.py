@@ -30,6 +30,7 @@ from rbc_stoplab.montecarlo import (
     speed_accuracy_sweep,
     table_config,
     trajectory_ensemble,
+    write_csv,
     write_matrix_csv,
 )
 from rbc_stoplab.simplex import SimplexPoint, center_line_distance
@@ -347,6 +348,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             speed_accuracy_sweep(small_config(), [0.2])
 
+    def test_tau_one_never_stops(self):
+        # calibrate's domain (1/n, 1] is the sweep's: at tau = 1 no rule
+        # can stop, so every trial counts max_sequences
+        cfg = small_config(methods=("MP", "M1", "M3", "M1bar"), n_trials=100)
+        points = speed_accuracy_sweep(cfg, [1.0])
+        assert len(points) == 4
+        assert all(p.mean_sequences == cfg.max_sequences for p in points)
+
 
 class TestTrajectoryEnsemble:
     def test_symmetric_prior_stays_near_center_line(self):
@@ -417,6 +426,13 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.p_true_given_stop, res.p_true_given_stop)
         np.testing.assert_array_equal(back.overall_accuracy, res.overall_accuracy)
         assert back.n_trials == res.n_trials
+
+    def test_write_csv_cells(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["a", "b", "c", "d", "e", "f"],
+                  [["M1bar", "0.50", 5000, np.float64(0.1), np.nan, True]])
+        assert path.read_text() == \
+            "a,b,c,d,e,f\nM1bar,0.50,5000,0.10000000000000001,nan,true\n"
 
     def test_comparison_csv_format(self, tmp_path):
         comp = reproduce_table("T2", n_trials=100)
