@@ -274,6 +274,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_boundary(args) -> int:
     if args.method not in FAMILIES or args.method == "M5":
         raise ConfigError(f"method must be one of {[m for m in FAMILIES if m != 'M5']}")
+    if args.resolution < 3:
+        raise ConfigError(f"--resolution must be at least 3, got {args.resolution}")
     rule = calibrate(args.method, args.tau, 3)
     points = boundary_sample(rule, args.resolution)
     name = f"boundary_{args.method}.csv"

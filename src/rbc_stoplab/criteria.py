@@ -20,6 +20,7 @@ import numpy as np
 
 from .simplex import (
     SimplexPoint,
+    _normalize_log_weights,
     _top_two_union,
     confidence,
     kl_bits,
@@ -247,11 +248,13 @@ def boundary_sample(rule: StoppingRule, resolution: int) -> list[SimplexPoint]:
     """Trace the rule's decision boundary on the three-class simplex.
 
     Casts ``resolution`` rays from the simplex center, keeps those along
-    which the rule's stop indicator flips, and bisects each to the point
-    where the defining statistic meets its threshold (within 1e-9).
-    Points come back ordered by ray angle, ready for polyline plotting;
-    rays that never cross (the region does not extend in that direction)
-    are skipped, so the count can be slightly below ``resolution``.
+    which the rule's stop indicator flips, and bisects all of them at once
+    to the point where the defining statistic meets its cutoff (within
+    1e-9).  Points come back ordered by ray angle, ready for polyline
+    plotting.  Rays that never cross are skipped, and when fewer than 90%
+    cross the fan is re-traced denser, so the count can differ from
+    ``resolution``; it is 0 when the stop region covers all of the simplex
+    or none of it.
     """
     if rule.n != 3:
         raise ValueError("boundary tracing is a three-class helper")
@@ -263,43 +266,44 @@ def boundary_sample(rule: StoppingRule, resolution: int) -> list[SimplexPoint]:
     target = stop_cutoff(rule)
     center = np.full(3, 1.0 / 3.0)
 
-    def trace(n_rays: int) -> list[SimplexPoint]:
-        found: list[SimplexPoint] = []
-        for k in range(n_rays):
-            theta = 2.0 * np.pi * k / n_rays
-            d = np.cos(theta) * _PLANE_BASIS[0] + np.sin(theta) * _PLANE_BASIS[1]
-            neg = d < 0
-            t_max = float(np.min(center[neg] / -d[neg]))
+    def at(t: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Log probabilities at ``center + t d``, one row per ray."""
+        with np.errstate(divide="ignore"):
+            return _normalize_log_weights(np.log(np.maximum(center + t[:, None] * d, 0.0)))
 
-            def point_at(t: float) -> SimplexPoint:
-                return SimplexPoint.from_probs(np.maximum(center + t * d, 0.0))
+    def excess(t: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return stop_statistic(rule, at(t, d)) - target
 
-            def excess(t: float) -> float:
-                return rule_statistic(rule, point_at(t)) - target
-
-            g0, g1 = excess(0.0), excess(t_max)
-            if g0 == 0.0:
-                found.append(point_at(0.0))
-                continue
-            if np.sign(g0) == np.sign(g1) and g1 != 0.0:
-                continue
-            lo, hi = 0.0, t_max
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                gm = excess(mid)
-                if abs(gm) <= 1e-12:
-                    lo = hi = mid
-                    break
-                if np.sign(gm) == np.sign(g0):
-                    lo = mid
-                else:
-                    hi = mid
-            found.append(point_at(0.5 * (lo + hi)))
-        return found
+    def trace(n_rays: int) -> np.ndarray:
+        theta = 2.0 * np.pi * np.arange(n_rays) / n_rays
+        d = np.cos(theta)[:, None] * _PLANE_BASIS[0] + np.sin(theta)[:, None] * _PLANE_BASIS[1]
+        t_max = np.divide(center, -d, out=np.full_like(d, np.inf), where=d < 0).min(1)
+        g0 = excess(np.zeros(1), d[:1])[0]  # every ray starts at the center
+        if g0 == 0.0:
+            return at(np.zeros(n_rays), d)
+        g1 = excess(t_max, d)
+        crossing = (np.sign(g1) != np.sign(g0)) | (g1 == 0.0)
+        d, lo, hi = d[crossing], np.zeros(crossing.sum()), t_max[crossing]
+        t, live = np.empty(len(d)), np.arange(len(d))
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            gm = excess(mid, d[live])
+            # a ray ends on its cutoff, or once the midpoint is an end of its
+            # bracket: every later step would give the same midpoint
+            done = (np.abs(gm) <= 1e-12) | (mid == lo) | (mid == hi)
+            t[live[done]] = mid[done]
+            lower, keep = np.sign(gm) == np.sign(g0), ~done
+            lo, hi = np.where(lower, mid, lo)[keep], np.where(lower, hi, mid)[keep]
+            live = live[keep]
+            if not live.size:
+                break
+        t[live] = 0.5 * (lo + hi)
+        return at(t, d)
 
     # regions that hug the corners cross only a fraction of the rays, so
     # re-trace with a denser fan until roughly `resolution` points land
     out = trace(resolution)
-    if len(out) < 0.9 * resolution and out:
+    if len(out) < 0.9 * resolution and len(out):
         out = trace(int(np.ceil(resolution * resolution / len(out))))
-    return out
+    out.flags.writeable = False
+    return list(map(SimplexPoint._normalized, out))

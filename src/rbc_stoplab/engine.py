@@ -78,6 +78,8 @@ class TopN:
 
 QueryScheme = Broadcast | TopN
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -105,6 +107,16 @@ class TrialConfig:
         if isinstance(self.scheme, TopN) and self.scheme.n_queries > self.prior.n:
             raise ValueError(f"scheme queries {self.scheme.n_queries} classes "
                              f"but only {self.prior.n} exist")
+        # Channel parameters of magnitude at most p move a log weight by at
+        # most 15 p a sequence (Generator.standard_normal never reaches
+        # |z| = 14), so the log state spreads by at most 30 p a sequence; the
+        # statistics scale it by up to the Renyi order (2 by default).
+        limit = _FLOAT_MAX / (30.0 * max(2.0, self.rule.alpha or 0.0) * (self.max_sequences + 1))
+        for key in ("mu_pos", "c_pos", "mu_neg", "c_neg"):
+            if abs(getattr(self.model, key)) > limit:
+                raise ValueError(f"{key} must be at most {limit:.3g} in magnitude for max_sequences"
+                                 f" = {self.max_sequences}, so that the log evidence stays "
+                                 f"finite; got {getattr(self.model, key)}")
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,23 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [("mu_pos", "1e+308"), ("c_pos", "1e+308"),
+                                            ("mu_neg", "-1e+306"), ("c_neg", "3e+304")])
+    @pytest.mark.parametrize("command", ["simulate", "bounds"])
+    def test_overflowing_channel_exit_code(self, tmp_path, capsys, recwarn, command, key,
+                                           value):
+        # finite, but the log state of 100 sequences would overflow
+        text = "".join(f"{key} = {value}\n" if line.startswith(key + " ")
+                       else "max_sequences = 100\n" if line.startswith("max_sequences ")
+                       else line + "\n" for line in GOOD_CONFIG.splitlines())
+        path = write_config(tmp_path, text + f"out_dir = {tmp_path / 'out'}\n")
+        argv = [command, path] + (["--s-range", "1:5"] if command == "bounds" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be at most 2.97e+304") and value in err
+        assert not recwarn.list
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "table"])
     def test_negative_seed_exit_code(self, tmp_path, capsys, command):
         path = write_config(tmp_path, GOOD_CONFIG.replace("seed = 42", "seed = -1"))
@@ -176,6 +193,14 @@ class TestBoundary:
 
     def test_rejects_unknown_method(self, capsys):
         assert main(["boundary", "M9", "--tau", "0.8"]) == 2
+
+    @pytest.mark.parametrize("resolution", ["2", "-5"])
+    def test_bad_resolution_names_option(self, tmp_path, capsys, resolution):
+        rc = main(["boundary", "M1", "--tau", "0.8", "--resolution", resolution,
+                   "--out-dir", str(tmp_path / "b")])
+        assert rc == 2
+        assert f"--resolution must be at least 3, got {resolution}" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
 
 class TestLetters:

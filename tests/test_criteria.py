@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rbc_stoplab.criteria import (
     CriterionState,
@@ -10,7 +11,9 @@ from rbc_stoplab.criteria import (
     delta2_divergence,
     matched_lower_confidence,
     min_confidence_on_entropy_contour,
+    rule_statistic,
     should_stop,
+    stop_cutoff,
 )
 from rbc_stoplab.simplex import (
     SimplexPoint,
@@ -283,3 +286,93 @@ class TestBoundarySample:
             boundary_sample(calibrate("M5", 0.8, 3), 100)
         with pytest.raises(ValueError):
             boundary_sample(calibrate("M1", 0.8, 4), 100)
+
+
+POINTWISE = ("M1", "M2", "M3", "M4", "MP", "M1bar")
+
+
+def oracle_boundary(rule, resolution):
+    """The boundary fan traced one ray at a time through the single-point
+    API, each crossing ray bisected on its own: the reference the batched
+    tracer is checked against."""
+    target = stop_cutoff(rule)
+    center = np.full(3, 1.0 / 3.0)
+    basis = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
+    basis = basis / np.linalg.norm(basis, axis=1, keepdims=True)
+
+    def trace(n_rays):
+        found = []
+        for k in range(n_rays):
+            theta = 2.0 * np.pi * k / n_rays
+            d = np.cos(theta) * basis[0] + np.sin(theta) * basis[1]
+            neg = d < 0
+            t_max = float(np.min(center[neg] / -d[neg]))
+
+            def point_at(t):
+                return SimplexPoint.from_probs(np.maximum(center + t * d, 0.0))
+
+            def excess(t):
+                return rule_statistic(rule, point_at(t)) - target
+
+            g0, g1 = excess(0.0), excess(t_max)
+            if g0 == 0.0:
+                found.append(point_at(0.0))
+                continue
+            if np.sign(g0) == np.sign(g1) and g1 != 0.0:
+                continue
+            lo, hi = 0.0, t_max
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                gm = excess(mid)
+                if abs(gm) <= 1e-12:
+                    lo = hi = mid
+                    break
+                if np.sign(gm) == np.sign(g0):
+                    lo = mid
+                else:
+                    hi = mid
+            found.append(point_at(0.5 * (lo + hi)))
+        return found
+
+    out = trace(resolution)
+    if len(out) < 0.9 * resolution and out:
+        out = trace(int(np.ceil(resolution * resolution / len(out))))
+    return out
+
+
+def assert_matches_oracle(family, tau, resolution):
+    rule = calibrate(family, tau, 3)
+    got = [p.log_probs.tobytes() for p in boundary_sample(rule, resolution)]
+    assert got == [p.log_probs.tobytes() for p in oracle_boundary(rule, resolution)]
+    return len(got)
+
+
+class TestBoundaryMatchesOracle:
+    # tau 0.5 puts the cutoffs of MP and M1bar at the center, which every
+    # ray then returns; at 0.8 and 0.95 several families re-trace a denser
+    # fan (M2 at 0.8 lands 54 points from 50 rays)
+    @pytest.mark.parametrize("resolution", [50, 200])
+    @pytest.mark.parametrize("tau", [0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("family", POINTWISE)
+    def test_bit_for_bit(self, family, tau, resolution):
+        assert_matches_oracle(family, tau, resolution)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(POINTWISE), st.floats(1.0 / 3.0, 1.0, exclude_min=True),
+           st.integers(3, 120))
+    # stop regions that cover none of the simplex (tau 1) or all of it
+    @example("M1", 1.0, 200)
+    @example("M2", 1.0, 200)
+    @example("M3", 1.0, 200)
+    @example("M4", 1.0, 200)
+    @example("MP", 1.0, 200)
+    @example("M1bar", 1.0, 200)
+    @example("MP", 0.34, 200)
+    @example("M1bar", 0.34, 200)
+    def test_bit_for_bit_any_anchor(self, family, tau, resolution):
+        assert_matches_oracle(family, tau, resolution)
+
+    @pytest.mark.parametrize("family, tau", [
+        *((family, 1.0) for family in POINTWISE), ("MP", 0.34), ("M1bar", 0.34)])
+    def test_empty_boundaries(self, family, tau):
+        assert assert_matches_oracle(family, tau, 200) == 0

@@ -243,3 +243,21 @@ class TestConfigValidation:
         params = dict(mu_pos=0.6, c_pos=0.5, mu_neg=0.0, c_neg=0.5)
         with pytest.raises(ValueError, match=key):
             EvidenceModel(**{**params, key: value})
+
+    @pytest.mark.parametrize("family, alpha", [("M1", None), ("M2", None), ("M2", 5.0)])
+    def test_largest_channels_stay_finite(self, family, alpha):
+        # channels just inside the bound run a full, never-stopping horizon
+        # with every state finite; twice the bound is rejected
+        rule = calibrate(family, 1.0, 3, alpha=alpha)
+        factor = max(2.0, alpha or 0.0)
+        limit = np.finfo(float).max / (2.0 * factor * 15.0 * 21)
+        for mu_pos, mu_neg in ((limit, -limit), (-limit, limit)):
+            cfg = TrialConfig(prior=sp([0.5, 0.5, 1e-300]), true_index=0, rule=rule,
+                              model=EvidenceModel(mu_pos, limit, mu_neg, limit),
+                              max_sequences=20, seed=3)
+            with np.errstate(over="raise", invalid="raise"):
+                out = run_trial(cfg)
+            assert out.stopped_at is None and len(out.trajectory) == 21
+        with pytest.raises(ValueError, match="c_neg must be at most"):
+            TrialConfig(prior=sp([0.5, 0.5, 1e-300]), true_index=0, rule=rule,
+                        model=EvidenceModel(0.0, 0.0, 0.0, 2.0 * limit), max_sequences=20)
