@@ -301,7 +301,7 @@ def _cmd_trajectories(args) -> int:
     paths = _parse_int(resolved, "paths")
     if paths < 1:
         raise ConfigError(f"--paths must be at least 1, got {paths}")
-    ens = trajectory_ensemble([cfg.prior], cfg, n_paths=paths)[0]
+    ens = trajectory_ensemble(cfg, n_paths=paths)
     cols = [f"p{i + 1}" for i in range(cfg.n)]
     write_outputs(resolved["out_dir"], resolved, [
         ("trajectory_mean.csv", ["s", *cols], ([s, *row] for s, row in enumerate(ens.mean))),

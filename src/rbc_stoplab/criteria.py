@@ -93,8 +93,7 @@ class CriterionState:
     previous: SimplexPoint | None = None
 
 
-def calibrate(family: str, tau: float, n: int, *, alpha: float | None = None,
-              kl_threshold: float = _DEFAULT_KL_THRESHOLD) -> StoppingRule:
+def calibrate(family: str, tau: float, n: int, *, alpha: float | None = None) -> StoppingRule:
     """Build a rule of the given family anchored at confidence ``tau``.
 
     M1 thresholds ``tau`` directly.  M2/M3/M4 take the entropy of the
@@ -102,7 +101,7 @@ def calibrate(family: str, tau: float, n: int, *, alpha: float | None = None,
     M1's there.  MP uses ball radius ``2 - 2 tau``, which makes its
     boundary meet M1's on the simplex edge.  M1bar lowers the confidence
     to the gap rule's weakest point.  M5 is the consecutive-KL rule with
-    a fixed small cutoff (default 1e-2 bits), independent of ``tau``.
+    a fixed small cutoff (1e-2 bits), independent of ``tau``.
 
     ``alpha`` overrides the Renyi order for M2 (default 2) and M4
     (default 0.2).
@@ -122,7 +121,7 @@ def calibrate(family: str, tau: float, n: int, *, alpha: float | None = None,
     if family == "MP":
         return StoppingRule("MP", n, tau, 2.0 - 2.0 * tau)
     if family == "M5":
-        return StoppingRule("M5", n, tau, float(kl_threshold))
+        return StoppingRule("M5", n, tau, _DEFAULT_KL_THRESHOLD)
 
     anchor = special_point("v", n, tau)
     if family == "M3":
@@ -205,11 +204,7 @@ def min_confidence_on_entropy_contour(tau: float, n: int) -> float | None:
     Solved by bisection (binary entropy is strictly decreasing on
     [1/2, 1]) to an argument tolerance of 1e-10.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not (1.0 / n < tau <= 1.0):
-        raise ValueError(f"tau must lie in (1/{n}, 1], got {tau}")
-    target = shannon_entropy(special_point("v", n, tau))
+    target = calibrate("M3", tau, n).threshold
     if target >= 1.0:
         return None
     lo, hi = 0.5, 1.0 - 1e-15
@@ -262,6 +257,10 @@ def boundary_sample(rule: StoppingRule, resolution: int) -> list[SimplexPoint]:
         raise ValueError("the consecutive-KL rule has no pointwise boundary")
     if resolution < 3:
         raise ValueError("resolution must be at least 3")
+    # a nonempty stop region of every family holds the corners; an empty
+    # one has no boundary, though a ray aimed at a corner ends on its cutoff
+    if not in_stop_region(rule, rule_statistic(rule, SimplexPoint.corner(3, 0))):
+        return []
 
     target = stop_cutoff(rule)
     center = np.full(3, 1.0 / 3.0)

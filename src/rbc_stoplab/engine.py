@@ -135,10 +135,10 @@ class TrialOutcome:
     trajectory: tuple[SimplexPoint, ...] = field(repr=False)
 
 
-def trial_stream(master_seed: int, trial_index: int, stream: int = 0) -> np.random.Generator:
+def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent, order-insensitive random stream for one trial."""
-    ss = np.random.SeedSequence(entropy=int(master_seed),
-                                spawn_key=(int(stream), int(trial_index)))
+    # the spawn key keeps its leading 0 so that every trial keeps its earlier bits
+    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(0, int(trial_index)))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -93,7 +93,6 @@ class ExperimentConfig:
     n_trials: int = 5000
     max_sequences: int = 100
     master_seed: int = 0
-    common_random_numbers: bool = True
     check_prior: bool = True
 
     def __post_init__(self) -> None:
@@ -133,16 +132,15 @@ class ExperimentResult:
     n_trials: int
     first_stop: np.ndarray | None = field(default=None, repr=False)
     stop_correct: np.ndarray | None = field(default=None, repr=False)
-    trajectories: np.ndarray | None = field(default=None, repr=False)
 
     def method_row(self, method: str) -> int:
         return self.methods.index(method)
 
 
-def _batch(cfg: ExperimentConfig, stream: int) -> tuple[np.ndarray, list]:
+def _batch(cfg: ExperimentConfig) -> tuple[np.ndarray, list]:
     """Prior log weights ``(T, n)`` and random streams for every trial;
     each stream has drawn its trial's prior and goes on with the evidence."""
-    rngs = [trial_stream(cfg.master_seed, t, stream) for t in range(cfg.n_trials)]
+    rngs = [trial_stream(cfg.master_seed, t) for t in range(cfg.n_trials)]
     if isinstance(cfg.prior, SimplexPoint):
         return np.tile(cfg.prior.log_probs, (len(rngs), 1)), rngs
     raw = np.array([rng.random(cfg.n - 1) for rng in rngs])
@@ -183,30 +181,16 @@ def _aggregate(cfg: ExperimentConfig, methods, first: np.ndarray,
     )
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   keep_trajectories: bool = False) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials for all methods and aggregate the matrices.
 
-    With common random numbers (the default) every method sees the same
-    per-trial evidence stream and all trials run through one loop;
-    otherwise each method gets its own independent substream family and
-    loop.  ``keep_trajectories`` stores the shared-stream probabilities
-    (trials, sequences + 1, n) on the result.
+    Every method reads the same per-trial evidence stream (common random
+    numbers), so method comparisons are paired; independent draws per
+    method come from separate runs with different ``master_seed``.
     """
     rules = [calibrate(m, cfg.tau, cfg.n) for m in cfg.methods]
-    if cfg.common_random_numbers:
-        first, decision, _ = classify_until_stop(cfg, rules, *_batch(cfg, stream=0))
-    else:
-        first, decision = np.empty((2, len(rules), cfg.n_trials), dtype=np.int64)
-        for m, rule in enumerate(rules):
-            first[m], decision[m], _ = classify_until_stop(cfg, [rule],
-                                                           *_batch(cfg, stream=1 + m))
-
-    result = _aggregate(cfg, cfg.methods, first, decision)
-    if keep_trajectories:
-        states = classify_until_stop(cfg, [], *_batch(cfg, stream=0), keep_states=True)[2]
-        result.trajectories = np.exp(np.stack(states, axis=1))
-    return result
+    first, decision, _ = classify_until_stop(cfg, rules, *_batch(cfg))
+    return _aggregate(cfg, cfg.methods, first, decision)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +385,7 @@ def speed_accuracy_sweep(cfg: ExperimentConfig, tau_list,
 
     pairs = [(method, tau) for method in methods for tau in taus]
     rules = [calibrate(method, tau, cfg.n) for method, tau in pairs]
-    first, decision, _ = classify_until_stop(cfg, rules, *_batch(cfg, stream=0))
+    first, decision, _ = classify_until_stop(cfg, rules, *_batch(cfg))
     accuracy = _aggregate(cfg, [m for m, _ in pairs], first, decision).overall_accuracy
     mean_sequences = np.where(first >= 0, first, cfg.max_sequences).sum(1) / cfg.n_trials
     return [SweepPoint(method, tau, float(seq), float(acc))
@@ -410,22 +394,18 @@ def speed_accuracy_sweep(cfg: ExperimentConfig, tau_list,
 
 @dataclass
 class EnsembleResult:
-    prior: SimplexPoint
     paths: np.ndarray  # (n_paths, max_sequences + 1, n) probabilities
     mean: np.ndarray   # (max_sequences + 1, n)
 
 
-def trajectory_ensemble(priors, cfg: ExperimentConfig,
-                        n_paths: int = 100) -> list[EnsembleResult]:
-    """Simulate trajectory bundles from each prior plus their mean path."""
-    out = []
-    for k, prior in enumerate(priors):
-        sub = replace(cfg, prior=prior, n=prior.n, n_trials=n_paths,
-                      master_seed=cfg.master_seed + k)
-        states = classify_until_stop(sub, [], *_batch(sub, stream=0), keep_states=True)[2]
-        states = np.exp(np.stack(states, axis=1))
-        out.append(EnsembleResult(prior=prior, paths=states, mean=states.mean(axis=0)))
-    return out
+def trajectory_ensemble(cfg: ExperimentConfig, n_paths: int = 100) -> EnsembleResult:
+    """Probability paths of ``n_paths`` unstopped trials from ``cfg.prior``
+    plus their mean path; trial ``t`` reads the harness's stream for trial
+    ``t``, so its path is the one ``run_experiment`` and ``run_trial`` see."""
+    sub = replace(cfg, n_trials=n_paths)
+    states = classify_until_stop(sub, [], *_batch(sub), keep_states=True)[2]
+    paths = np.exp(np.stack(states, axis=1))
+    return EnsembleResult(paths=paths, mean=paths.mean(axis=0))
 
 
 def letters_projection(acc: float, e_seq: float, total_letters: int = 100,

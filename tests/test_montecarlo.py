@@ -127,20 +127,20 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert np.all(res.first_stop >= 1)
 
-    def test_optional_trajectory_storage(self):
-        cfg = small_config(n_trials=30, max_sequences=6)
-        res = run_experiment(cfg, keep_trajectories=True)
-        assert res.trajectories.shape == (30, 7, 3)
-        np.testing.assert_allclose(res.trajectories.sum(-1), 1.0, atol=1e-12)
-        assert run_experiment(cfg).trajectories is None
-
-    def test_independent_streams_flag(self):
-        shared = run_experiment(small_config(methods=("M1", "MP")))
-        split = run_experiment(small_config(methods=("M1", "MP"),
-                                            common_random_numbers=False))
-        # same marginals within noise, different draws
-        assert not np.array_equal(shared.first_stop[0], split.first_stop[0])
-        assert abs(shared.p_stop[0, 6] - split.p_stop[0, 6]) < 0.12
+    @pytest.mark.parametrize("scheme", [Broadcast(), TopN(2)])
+    def test_method_stops_do_not_depend_on_other_methods(self, scheme):
+        # common random numbers: every method reads each trial's one stream,
+        # random prior included, so a method's stops are the same whether it
+        # runs alone or with every other method
+        cfg = small_config(n=10, prior=RandomRemainder(0.1), tau=0.85, methods=FAMILIES,
+                           model=EvidenceModel(0.8, 0.5, -0.3, 0.5), scheme=scheme,
+                           max_sequences=8)
+        together = run_experiment(cfg)
+        for m, method in enumerate(FAMILIES):
+            alone = run_experiment(replace(cfg, methods=(method,)))
+            assert (together.first_stop[m] >= 0).any(), method
+            np.testing.assert_array_equal(alone.first_stop[0], together.first_stop[m])
+            np.testing.assert_array_equal(alone.stop_correct[0], together.stop_correct[m])
 
     def test_prior_stop_lands_in_first_column(self):
         cfg = small_config(prior=sp([0.85, 0.1, 0.05]), methods=("M1",),
@@ -248,7 +248,7 @@ class TestHarnessMatchesEngine:
     @pytest.mark.parametrize("scheme", [Broadcast(), TopN(2)])
     def test_run_trial_trajectory_is_the_harness_path(self, scheme):
         cfg = small_config(n_trials=20, methods=("M1",), scheme=scheme)
-        kept = run_experiment(cfg, keep_trajectories=True).trajectories
+        kept = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths
         for t in range(cfg.n_trials):
             out = run_trial(TrialConfig(
                 prior=cfg.prior, true_index=0, rule=calibrate("M1", cfg.tau, cfg.n),
@@ -360,21 +360,22 @@ class TestSweep:
 class TestTrajectoryEnsemble:
     def test_symmetric_prior_stays_near_center_line(self):
         cfg = small_config(n_trials=100, max_sequences=10)
-        ens = trajectory_ensemble([SimplexPoint.uniform(3)], cfg, n_paths=400)[0]
+        ens = trajectory_ensemble(replace(cfg, prior=SimplexPoint.uniform(3)), n_paths=400)
         for s in range(ens.mean.shape[0]):
             assert center_line_distance(sp(ens.mean[s]), 0) <= 0.01
 
     def test_edge_prior_bends_toward_center_line(self):
         cfg = small_config(n_trials=100, max_sequences=12)
-        ens = trajectory_ensemble([sp([0.49, 0.49, 0.02])], cfg, n_paths=1500)[0]
+        ens = trajectory_ensemble(replace(cfg, prior=sp([0.49, 0.49, 0.02])), n_paths=1500)
         dists = [center_line_distance(sp(row), 0) for row in ens.mean]
         assert all(b <= a + 1e-3 for a, b in zip(dists, dists[1:]))
         assert dists[-1] < dists[0]
 
     def test_path_count_honored(self):
-        cfg = small_config(max_sequences=5)
-        ens = trajectory_ensemble([SimplexPoint.uniform(3)], cfg, n_paths=37)[0]
+        cfg = small_config(prior=SimplexPoint.uniform(3), max_sequences=5)
+        ens = trajectory_ensemble(cfg, n_paths=37)
         assert ens.paths.shape == (37, 6, 3)
+        np.testing.assert_allclose(ens.paths.sum(-1), 1.0, atol=1e-12)
 
 
 class TestLettersProjection:
