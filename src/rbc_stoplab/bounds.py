@@ -5,7 +5,8 @@ multiplies the true class by a draw ``eps`` (constant, or lognormal with
 log-mean ``mu`` and log-sd ``c``) while all other classes keep neutral
 evidence.  Under that model the first-stop sequence for the confidence,
 gap, and norm rules has a closed form, and the probability of sitting in
-a stop region after ``s`` updates reduces to the error function.
+a stop region after ``s`` updates is a normal tail.  The confidence and
+gap cutoffs are those of the simulator's rules in ``criteria``.
 
 Natural logarithms are used throughout this module (the lognormal algebra
 lives in nats); entropies elsewhere in the package are in bits.
@@ -14,11 +15,11 @@ lives in nats); entropies elsewhere in the package are in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import matched_lower_confidence
+from .criteria import calibrate, stop_cutoff
 from .simplex import SimplexPoint
 
 __all__ = [
@@ -35,30 +36,12 @@ __all__ = [
 
 RULE_KINDS = ("M1", "MP", "M2norm", "M1bar")
 
-# Five-term rational approximation with exponential tail; absolute error
-# below 1.5e-7 everywhere, odd symmetry exact by construction.
-_ERF_P = 0.3275911
-_ERF_A1 = 0.254829592
-_ERF_A2 = -0.284496736
-_ERF_A3 = 1.421413741
-_ERF_A4 = -1.453152027
-_ERF_A5 = 1.061405429
-
 
 def erf(x):
-    """Error function, accurate to 1.5e-7 in absolute terms.
-
-    Accepts a scalar or an ndarray; returns the matching type.
-    """
-    arr = np.asarray(x, dtype=float)
-    sign = np.sign(arr)
-    ax = np.abs(arr)
-    t = 1.0 / (1.0 + _ERF_P * ax)
-    poly = t * (_ERF_A1 + t * (_ERF_A2 + t * (_ERF_A3 + t * (_ERF_A4 + t * _ERF_A5))))
-    res = sign * (1.0 - poly * np.exp(-ax * ax))
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(res)
-    return res
+    """``math.erf`` of a scalar, or of each element of an ndarray, giving one."""
+    if np.ndim(x) == 0:
+        return math.erf(x)
+    return np.vectorize(math.erf, otypes=[float])(x)
 
 
 @dataclass(frozen=True)
@@ -87,8 +70,10 @@ class BoundQuery:
             raise ValueError("true and competitor classes must differ")
         if not (1.0 / n < self.tau < 1.0):
             raise ValueError(f"tau must lie in (1/{n}, 1)")
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(f"c must be finite and nonnegative, got {self.c}")
         if self.s < 1:
             raise ValueError("s must be at least 1")
         if self.rule_kind not in RULE_KINDS:
@@ -103,27 +88,29 @@ class BoundQuery:
         return float(self.prior.probs[self.competitor_index])
 
 
+def _cutoff(q: BoundQuery, kind: str) -> float:
+    """The cutoff of the ``criteria`` rule ``kind`` anchored at the query's tau."""
+    return stop_cutoff(calibrate(kind, q.tau, q.prior.n))
+
+
 def stop_ratio_constant(q: BoundQuery) -> float:
     """The evidence ratio ``k`` whose crossing triggers the stop.
 
     The true-class evidence product must exceed ``k`` for the posterior
     to sit in the queried stop region.
     """
-    p1, p2, tau, n = q.p1, q.p2, q.tau, q.prior.n
+    p1, p2, tau = q.p1, q.p2, q.tau
     if not 0.0 < p1 < 1.0:
         raise ValueError("true-class prior mass must lie in (0, 1)")
-    if q.rule_kind == "M1":
-        return (1.0 - p1) * tau / ((1.0 - tau) * p1)
-    if q.rule_kind == "M1bar":
-        tt = matched_lower_confidence(tau, n)
-        return (1.0 - p1) * tt / ((1.0 - tt) * p1)
-    if q.rule_kind == "MP":
-        t2 = 2.0 * tau - 1.0  # gap cutoff 1 - tau_bar
-        return ((1.0 - p1) * t2 + p2) / ((1.0 - t2) * p1)
-    # M2norm: the l2-norm form of the quadratic-entropy rule
-    if tau <= 0.5:
-        raise ValueError("the norm rule needs tau > 0.5 (discriminant realness)")
-    return (1.0 - p1) * (tau + math.sqrt(2.0 * tau - 1.0)) / ((1.0 - tau) ** 2 * p1)
+    if q.rule_kind == "M2norm":
+        # the l2-norm form of the quadratic-entropy rule, not a criteria family
+        if tau <= 0.5:
+            raise ValueError("the norm rule needs tau > 0.5 (discriminant realness)")
+        return (1.0 - p1) * (tau + math.sqrt(2.0 * tau - 1.0)) / ((1.0 - tau) ** 2 * p1)
+    t = _cutoff(q, q.rule_kind)
+    if q.rule_kind == "MP":  # the true class must lead the competitor by t
+        return ((1.0 - p1) * t + p2) / ((1.0 - t) * p1)
+    return (1.0 - p1) * t / ((1.0 - t) * p1)  # its confidence must pass t
 
 
 def min_sequences_constant_evidence(q: BoundQuery, eps: float) -> float:
@@ -140,32 +127,31 @@ def min_sequences_constant_evidence(q: BoundQuery, eps: float) -> float:
     return math.log(k) / math.log(eps)
 
 
-def stop_probability_lognormal(q: BoundQuery) -> float:
-    """Probability that ``s`` lognormal rounds land in the stop region.
+def _tail(q: BoundQuery, k: float, above: bool) -> float:
+    """Probability that the product of ``s`` draws, lognormal with log-mean
+    ``s mu`` and log-variance ``s c^2``, lies strictly above (or below) ``k``."""
+    if q.c == 0.0:
+        return float(q.s * q.mu > math.log(k) if above else q.s * q.mu < math.log(k))
+    arg = (math.log(k) - q.s * q.mu) / (math.sqrt(2.0 * q.s) * q.c)
+    return 0.5 * math.erfc(arg if above else -arg)
 
-    The product of ``s`` draws is lognormal with log-mean ``s mu`` and
-    log-variance ``s c^2``, so the region membership probability is a
-    single error-function evaluation.
-    """
+
+def stop_probability_lognormal(q: BoundQuery) -> float:
+    """Probability that ``s`` lognormal rounds land in the stop region."""
     k = stop_ratio_constant(q)
     if k <= 0.0:
         return 1.0  # any positive evidence product crosses a nonpositive ratio
-    if q.c == 0.0:
-        return 1.0 if q.s * q.mu > math.log(k) else 0.0
-    arg = (math.log(k) - q.s * q.mu) / (math.sqrt(2.0 * q.s) * q.c)
-    return 0.5 - 0.5 * erf(arg)
+    return _tail(q, k, above=True)
 
 
 def _false_ratio(q: BoundQuery, variant: str) -> float:
-    p1, p2, tau, n = q.p1, q.p2, q.tau, q.prior.n
-    if variant == "M1":
-        return (p2 - (1.0 - p1) * tau) / (tau * p1)
-    if variant == "MP":
-        return (p2 - (1.0 - p1) * (2.0 * tau - 1.0)) / (2.0 * tau * p1)
-    if variant == "M1bar":
-        a = (n - 1) * (2.0 * tau - 1.0) + 1.0
-        return (n * p2 - (1.0 - p1) * a) / (a * p1)
-    raise ValueError(f"unknown false-stop variant {variant!r}")
+    if variant not in ("M1", "MP", "M1bar"):
+        raise ValueError(f"unknown false-stop variant {variant!r}")
+    t = _cutoff(q, variant)
+    # the competitor's confidence must pass t, or, for the gap rule, its
+    # lead over the true class must
+    scale = 1.0 + t if variant == "MP" else t
+    return (q.p2 - (1.0 - q.p1) * t) / (scale * q.p1)
 
 
 def false_stop_probability(q: BoundQuery, variant: str) -> float:
@@ -176,12 +162,7 @@ def false_stop_probability(q: BoundQuery, variant: str) -> float:
     event is impossible (the evidence product is positive), giving zero.
     """
     kp = _false_ratio(q, variant)
-    if kp <= 0.0:
-        return 0.0
-    if q.c == 0.0:
-        return 1.0 if q.s * q.mu < math.log(kp) else 0.0
-    arg = (math.log(kp) - q.s * q.mu) / (math.sqrt(2.0 * q.s) * q.c)
-    return 0.5 + 0.5 * erf(arg)
+    return 0.0 if kp <= 0.0 else _tail(q, kp, above=False)
 
 
 @dataclass
@@ -210,12 +191,9 @@ def verify_prop5_ordering(q: BoundQuery, s_range) -> Prop5Report:
     """
     report = Prop5Report()
     for s in s_range:
-        qs = BoundQuery(q.prior, q.true_index, q.competitor_index, q.tau,
-                        q.mu, q.c, int(s), "M1")
+        qs = replace(q, s=int(s), rule_kind="M1")
         tp1 = stop_probability_lognormal(qs)
-        tp2 = stop_probability_lognormal(
-            BoundQuery(q.prior, q.true_index, q.competitor_index, q.tau,
-                       q.mu, q.c, int(s), "MP"))
+        tp2 = stop_probability_lognormal(replace(qs, rule_kind="MP"))
         fa1 = false_stop_probability(qs, "M1")
         fa2 = false_stop_probability(qs, "MP")
         fa3 = false_stop_probability(qs, "M1bar")

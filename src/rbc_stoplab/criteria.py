@@ -249,7 +249,7 @@ def boundary_sample(rule: StoppingRule, resolution: int) -> list[SimplexPoint]:
     plotting.  Rays that never cross are skipped, and when fewer than 90%
     cross the fan is re-traced denser, so the count can differ from
     ``resolution``; it is 0 when the stop region covers all of the simplex
-    or none of it.
+    or none of it, and 1 (the center) when the cutoff passes through it.
     """
     if rule.n != 3:
         raise ValueError("boundary tracing is a three-class helper")
@@ -273,13 +273,13 @@ def boundary_sample(rule: StoppingRule, resolution: int) -> list[SimplexPoint]:
     def excess(t: np.ndarray, d: np.ndarray) -> np.ndarray:
         return stop_statistic(rule, at(t, d)) - target
 
+    start = at(np.zeros(1), _PLANE_BASIS[:1])  # every ray starts at the center
+    g0 = stop_statistic(rule, start)[0] - target
+
     def trace(n_rays: int) -> np.ndarray:
         theta = 2.0 * np.pi * np.arange(n_rays) / n_rays
         d = np.cos(theta)[:, None] * _PLANE_BASIS[0] + np.sin(theta)[:, None] * _PLANE_BASIS[1]
         t_max = np.divide(center, -d, out=np.full_like(d, np.inf), where=d < 0).min(1)
-        g0 = excess(np.zeros(1), d[:1])[0]  # every ray starts at the center
-        if g0 == 0.0:
-            return at(np.zeros(n_rays), d)
         g1 = excess(t_max, d)
         crossing = (np.sign(g1) != np.sign(g0)) | (g1 == 0.0)
         d, lo, hi = d[crossing], np.zeros(crossing.sum()), t_max[crossing]
@@ -299,10 +299,13 @@ def boundary_sample(rule: StoppingRule, resolution: int) -> list[SimplexPoint]:
         t[live] = 0.5 * (lo + hi)
         return at(t, d)
 
-    # regions that hug the corners cross only a fraction of the rays, so
-    # re-trace with a denser fan until roughly `resolution` points land
-    out = trace(resolution)
-    if len(out) < 0.9 * resolution and len(out):
-        out = trace(int(np.ceil(resolution * resolution / len(out))))
+    if g0 == 0.0:
+        out = start  # a cutoff through the center is the one point all rays share
+    else:
+        # regions that hug the corners cross only a fraction of the rays, so
+        # re-trace with a denser fan until roughly `resolution` points land
+        out = trace(resolution)
+        if len(out) < 0.9 * resolution and len(out):
+            out = trace(int(np.ceil(resolution * resolution / len(out))))
     out.flags.writeable = False
     return list(map(SimplexPoint._normalized, out))

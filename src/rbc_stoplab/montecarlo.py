@@ -44,6 +44,7 @@ __all__ = [
     "TableCell",
     "TableComparison",
     "TABLE_IDS",
+    "TABLE_TOLERANCE",
     "DEFAULT_TABLE_SEED",
     "run_experiment",
     "reproduce_table",
@@ -198,6 +199,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 TABLE_IDS = ("T2", "T3", "T4")
+TABLE_TOLERANCE = 0.03  # largest |paper - repro| with which a cell still passes
 
 _METHOD_ORDER = ("MP", "M1", "M2", "M3", "M4", "M5", "M1bar")
 
@@ -334,8 +336,7 @@ class TableComparison:
 
 
 def reproduce_table(table_id: str, n_trials: int = 5000,
-                    master_seed: int = DEFAULT_TABLE_SEED,
-                    tolerance: float = 0.03) -> TableComparison:
+                    master_seed: int = DEFAULT_TABLE_SEED) -> TableComparison:
     """Rerun a benchmark table and compare every cell to its reference value."""
     cfg = table_config(table_id, n_trials=n_trials, master_seed=master_seed)
     result = run_experiment(cfg)
@@ -354,7 +355,7 @@ def reproduce_table(table_id: str, n_trials: int = 5000,
                     paper=float(ref[metric][method][j]),
                     repro=float(matrix[row, col - 1]),
                 ))
-    return TableComparison(table_id, tolerance, cells, result)
+    return TableComparison(table_id, TABLE_TOLERANCE, cells, result)
 
 
 # ---------------------------------------------------------------------------

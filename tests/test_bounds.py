@@ -5,9 +5,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbc_stoplab.bounds import (
+    RULE_KINDS,
     BoundQuery,
+    _false_ratio,
     erf,
     false_stop_probability,
     min_sequences_constant_evidence,
@@ -15,6 +18,7 @@ from rbc_stoplab.bounds import (
     stop_ratio_constant,
     verify_prop5_ordering,
 )
+from rbc_stoplab.criteria import calibrate, in_stop_region, rule_statistic, stop_cutoff
 from rbc_stoplab.simplex import SimplexPoint
 
 
@@ -319,3 +323,96 @@ class TestQueryValidation:
             BoundQuery(prior, 0, 1, 0.8, s=0)
         with pytest.raises(ValueError):
             BoundQuery(prior, 0, 1, 0.8, rule_kind="bogus")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mu(self, value):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            BoundQuery(sp([0.5, 0.3, 0.2]), 0, 1, 0.8, mu=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_c(self, value):
+        with pytest.raises(ValueError, match="c must be finite"):
+            BoundQuery(sp([0.5, 0.3, 0.2]), 0, 1, 0.8, c=value)
+
+
+def exact_tail(k, q, above):
+    """High-precision probability that the lognormal product lies above
+    (or below) ``k``."""
+    if k <= 0.0:
+        return 1.0 if above else 0.0
+    with mpmath.workdps(50):
+        arg = (mpmath.log(k) - q.s * mpmath.mpf(q.mu)) / (mpmath.sqrt(2 * q.s) * q.c)
+        return float(0.5 * mpmath.erfc(arg if above else -arg))
+
+
+class TestTailsMatchHighPrecision:
+    def test_against_mpmath_erfc(self):
+        # the T2 prior: several tails fall to 1e-12 and below, where a
+        # five-term erf approximation is off by over 0.5% in relative terms
+        prior = sp([0.42, 0.55, 0.03])
+        for s in range(1, 21):
+            for kind in RULE_KINDS:
+                q = BoundQuery(prior, 0, 1, 0.8, mu=0.6, c=0.5, s=s, rule_kind=kind)
+                exact = exact_tail(stop_ratio_constant(q), q, above=True)
+                assert stop_probability_lognormal(q) == pytest.approx(exact, rel=1e-12, abs=0)
+            for variant in ("M1", "MP", "M1bar"):
+                exact = exact_tail(_false_ratio(q, variant), q, above=False)
+                assert false_stop_probability(q, variant) == pytest.approx(
+                    exact, rel=1e-12, abs=0)
+
+
+def anchored_tau(kind, n, u):
+    """A tau in (1/n, 1); below 1/2 the gap and lowered-confidence rules stop
+    everywhere, so they draw from (1/2, 1)."""
+    lo = 1.0 / n if kind == "M1" else 0.5
+    return lo + (1.0 - lo) * u
+
+
+def scaled(probs, i, factor):
+    """The posterior after the evidence ``factor`` on class ``i``."""
+    w = np.array(probs)
+    w[i] *= factor
+    return sp(w)
+
+
+class TestRatiosMatchCriteria:
+    """The ratios that ``bounds`` derives bracket the stop regions that
+    ``criteria`` tests: an evidence product just above (or below) the ratio
+    lands inside the region, one just below (or above) it outside."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(("M1", "MP", "M1bar")), st.integers(2, 8),
+           st.floats(0.001, 0.999), st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+           st.integers(0, 7))
+    def test_true_class_ratio(self, kind, n, u, weights, true_index):
+        tau = anchored_tau(kind, n, u)
+        rule = calibrate(kind, tau, n)
+        probs = np.array(weights[:n]) / sum(weights[:n])
+        # pull the prior toward the center, which lies outside the region
+        while in_stop_region(rule, rule_statistic(rule, sp(probs))):
+            probs = 0.5 * (probs + 1.0 / n)
+        ti = true_index % n
+        ci = max((i for i in range(n) if i != ti), key=lambda i: probs[i])
+        k = stop_ratio_constant(BoundQuery(sp(probs), ti, ci, tau, rule_kind=kind))
+        for factor, inside in ((1.0 + 1e-9, True), (1.0 - 1e-9, False)):
+            post = scaled(probs, ti, k * factor)
+            assert bool(in_stop_region(rule, rule_statistic(rule, post))) is inside
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(("M1", "M1bar")), st.integers(2, 8), st.floats(0.001, 0.999),
+           st.floats(0.05, 0.9), st.floats(0.1, 1.0),
+           st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6))
+    def test_competitor_ratio(self, kind, n, u, p1, share, weights):
+        # the competitor holds more than the cutoff's share of the non-true
+        # mass, so weak enough true-class evidence lets it stop
+        tau = anchored_tau(kind, n, u)
+        rule = calibrate(kind, tau, n)
+        t = stop_cutoff(rule)
+        rest = np.array(weights[:n - 2]) / sum(weights[:n - 2]) if n > 2 else np.zeros(0)
+        p2 = (1.0 - p1) * (t + (1.0 - t) * share) if n > 2 else 1.0 - p1
+        probs = np.concatenate([[p1, p2], (1.0 - p1 - p2) * rest])
+        kp = _false_ratio(BoundQuery(sp(probs), 0, 1, tau), kind)
+        assert kp > 0.0
+        for factor, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+            post = scaled(probs, 0, kp * factor)
+            assert bool(in_stop_region(rule, post.probs[1])) is inside

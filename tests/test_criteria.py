@@ -299,6 +299,8 @@ def oracle_boundary(rule, resolution):
         return []  # a stop region without the corners is empty
     target = stop_cutoff(rule)
     center = np.full(3, 1.0 / 3.0)
+    if rule_statistic(rule, SimplexPoint.from_probs(center)) == target:
+        return [SimplexPoint.from_probs(center)]  # the one point all rays share
     basis = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
     basis = basis / np.linalg.norm(basis, axis=1, keepdims=True)
 
@@ -317,9 +319,6 @@ def oracle_boundary(rule, resolution):
                 return rule_statistic(rule, point_at(t)) - target
 
             g0, g1 = excess(0.0), excess(t_max)
-            if g0 == 0.0:
-                found.append(point_at(0.0))
-                continue
             if np.sign(g0) == np.sign(g1) and g1 != 0.0:
                 continue
             lo, hi = 0.0, t_max
@@ -350,8 +349,8 @@ def assert_matches_oracle(family, tau, resolution):
 
 
 class TestBoundaryMatchesOracle:
-    # tau 0.5 puts the cutoffs of MP and M1bar at the center, which every
-    # ray then returns; at 0.8 and 0.95 several families re-trace a denser
+    # tau 0.5 puts the cutoffs of MP and M1bar at the center, the one point
+    # then returned; at 0.8 and 0.95 several families re-trace a denser
     # fan (M2 at 0.8 lands 54 points from 50 rays)
     @pytest.mark.parametrize("resolution", [50, 200])
     @pytest.mark.parametrize("tau", [0.5, 0.8, 0.95])
@@ -381,3 +380,12 @@ class TestBoundaryMatchesOracle:
         # include, ends on the cutoff there
         for resolution in (12, 120, 200):
             assert assert_matches_oracle(family, tau, resolution) == 0
+
+    @pytest.mark.parametrize("family", ["MP", "M1bar"])
+    def test_cutoff_through_center_gives_center_once(self, family):
+        # at tau 0.5 the gap cutoff is 0 and the lowered confidence 1/3, so
+        # every ray starts on the cutoff; the center is written once
+        for resolution in (3, 50, 200):
+            pts = boundary_sample(calibrate(family, 0.5, 3), resolution)
+            assert [p.probs.tolist() for p in pts] == [[1.0 / 3.0] * 3]
+            assert assert_matches_oracle(family, 0.5, resolution) == 1
