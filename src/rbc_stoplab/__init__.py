@@ -48,6 +48,7 @@ from .engine import (
     TrialConfig,
     TrialOutcome,
     run_trial,
+    trial_normals,
     trial_stream,
 )
 from .montecarlo import (

@@ -3,7 +3,8 @@
 Configuration files are flat ``key = value`` text with ``#`` comments.
 Every run writes its outputs as CSV under the configured output
 directory together with a ``manifest.txt`` holding the fully resolved
-configuration, all through :func:`write_outputs`.  The manifests of
+configuration and the random-number layout (``rng_layout``), all
+through :func:`write_outputs`.  The manifests of
 ``simulate``, ``sweep``, ``bounds`` and ``trajectories`` are valid config
 files that rerun their own command byte-for-byte.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .criteria import FAMILIES, calibrate, boundary_sample
-from .engine import Broadcast, EvidenceModel, TopN
+from .engine import RNG_LAYOUT, Broadcast, EvidenceModel, TopN
 from .montecarlo import (
     DEFAULT_TABLE_SEED,
     ExperimentConfig,
@@ -41,7 +42,7 @@ USAGE_ERROR = 2
 
 _CONFIG_KEYS = (
     "n", "prior", "true_index", "tau", "methods", "mu_pos", "c_pos",
-    "mu_neg", "c_neg", "scheme", "trials", "max_sequences", "seed", "out_dir",
+    "mu_neg", "c_neg", "scheme", "trials", "max_sequences", "seed", "out_dir", "rng_layout",
 )
 
 _DEFAULTS = {
@@ -109,6 +110,9 @@ def build_experiment_config(raw: dict[str, str]) -> tuple[ExperimentConfig, dict
     """Resolve a raw config into an ExperimentConfig plus the manifest view."""
     resolved = dict(_DEFAULTS)
     resolved.update(raw)
+    if resolved.get("rng_layout", RNG_LAYOUT) != RNG_LAYOUT:
+        raise ConfigError(f"key 'rng_layout': this version draws with {RNG_LAYOUT!r}, so a run "
+                          f"recorded with {resolved['rng_layout']!r} cannot be reproduced")
 
     n = _parse_int(resolved, "n")
     prior_text = _need(resolved, "prior")
@@ -180,7 +184,8 @@ def _own_option(args, resolved: dict[str, str], key: str, default: str | None = 
 
 def write_outputs(out_dir: str, manifest: dict, csvs=(), result=None,
                   comparison=None) -> None:
-    """Create ``out_dir``, write a run's CSVs, then its ``manifest.txt``.
+    """Create ``out_dir``, write a run's CSVs, then its ``manifest.txt``,
+    which ends with the ``rng_layout`` the run drew with.
 
     ``csvs`` holds ``(file name, header, rows)`` triples; ``result`` adds
     the experiment matrices and summary, ``comparison`` a table comparison.
@@ -193,6 +198,7 @@ def write_outputs(out_dir: str, manifest: dict, csvs=(), result=None,
         result_to_csv_dir(result, out_dir)
     for name, header, rows in csvs:
         write_csv(os.path.join(out_dir, name), header, rows)
+    manifest = {**manifest, "rng_layout": RNG_LAYOUT}
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
         fh.writelines(f"{key} = {format_cell(value)}\n" for key, value in manifest.items())
 

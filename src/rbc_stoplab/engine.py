@@ -7,16 +7,24 @@ the positive channel, queried non-true classes draw independently from
 the negative channel, and unqueried classes receive exactly neutral
 evidence.
 
-Reproducibility contract: every trial consumes a dedicated substream
-derived from ``(master_seed, trial_index)`` via numpy's SeedSequence
-spawn-key mechanism feeding a Philox generator, and each sequence draws
-one standard normal per class (unqueried draws are discarded).  Results
-are therefore bit-identical regardless of execution order or of how
-trials are batched.
+Reproducibility contract: trials come in blocks of ``BLOCK`` and every
+block reads one Philox stream, ``trial_stream(master_seed, block)``,
+keyed by ``(master_seed, block)``.  The stream is a fixed grid of cells
+read by position: cell ``(row, trial)`` holds ``CHUNK`` sequences of
+``w`` uniforms (``n`` rounded up to a multiple of 4, so every cell starts
+on a Philox counter boundary), cells run row-major over the block's
+trials, and one uniform takes one 64-bit output.  Row 0 holds the
+uniforms of a random prior, row ``c + 1`` evidence chunk ``c``, whose
+uniforms become normals by Box-Muller; each sequence uses ``n`` of them,
+one per class, whatever the query scheme.  A trial's draws therefore
+depend only on ``(master_seed, trial_index, row)``, and results are
+bit-identical regardless of execution order, of how trials are batched,
+and of how many rows a trial reads.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +39,13 @@ __all__ = [
     "TopN",
     "TrialConfig",
     "TrialOutcome",
+    "BLOCK",
+    "CHUNK",
+    "RNG_LAYOUT",
     "trial_stream",
+    "read_cells",
+    "draw_normals",
+    "trial_normals",
     "resolve_queried",
     "log_evidence",
     "classify_until_stop",
@@ -80,6 +94,10 @@ QueryScheme = Broadcast | TopN
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
+BLOCK = 1024  # trials per random stream
+CHUNK = 8  # sequences per cell of a stream
+RNG_LAYOUT = f"philox-block{BLOCK}-chunk{CHUNK}"
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -100,17 +118,18 @@ class TrialConfig:
             raise ValueError("prior and rule dimensions differ")
         if self.max_sequences < 1:
             raise ValueError("max_sequences must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.trial_index < 0:
             raise ValueError(f"trial_index must be nonnegative, got {self.trial_index}")
         if isinstance(self.scheme, TopN) and self.scheme.n_queries > self.prior.n:
             raise ValueError(f"scheme queries {self.scheme.n_queries} classes "
                              f"but only {self.prior.n} exist")
         # Channel parameters of magnitude at most p move a log weight by at
-        # most 15 p a sequence (Generator.standard_normal never reaches
-        # |z| = 14), so the log state spreads by at most 30 p a sequence; the
-        # statistics scale it by up to the Renyi order (2 by default).
+        # most 15 p a sequence: a Box-Muller radius reads a uniform 1 - u of
+        # at least 2**-53, so |z| <= sqrt(-2 ln 2**-53) < 8.58 < 14.  The log
+        # state then spreads by at most 30 p a sequence; the statistics
+        # scale it by up to the Renyi order (2 by default).
         limit = _FLOAT_MAX / (30.0 * max(2.0, self.rule.alpha or 0.0) * (self.max_sequences + 1))
         for key in ("mu_pos", "c_pos", "mu_neg", "c_neg"):
             if abs(getattr(self.model, key)) > limit:
@@ -135,11 +154,88 @@ class TrialOutcome:
     trajectory: tuple[SimplexPoint, ...] = field(repr=False)
 
 
-def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent, order-insensitive random stream for one trial."""
-    # the spawn key keeps its leading 0 so that every trial keeps its earlier bits
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(0, int(trial_index)))
-    return np.random.Generator(np.random.Philox(ss))
+@functools.cache
+def _key_seed() -> type:
+    """The seed type through which ``Philox`` takes its key as given.
+
+    ``Philox(key=...)`` would first gather OS entropy for a seed sequence
+    it does not use, which costs more than the rest of the construction.
+    The type is made on first use: importing ``numpy.random`` takes about
+    9 ms, which commands that draw nothing need not pay.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.key
+
+    return KeySeed
+
+
+def trial_stream(master_seed: int, block: int) -> np.random.Generator:
+    """The random stream of trials ``block * BLOCK`` to ``block * BLOCK +
+    BLOCK - 1``, keyed by ``(master_seed, block)`` and read by position
+    through :func:`read_cells`."""
+    key = _key_seed()(np.array([master_seed, block], np.uint64))
+    return np.random.Generator(np.random.Philox(key))
+
+
+def read_cells(streams: dict, trials: np.ndarray, row: int, n: int) -> np.ndarray:
+    """Uniforms ``(T, CHUNK, w)`` of cell row ``row`` for the sorted trial
+    indices ``trials``, ``w`` being ``n`` rounded up to a multiple of 4;
+    ``streams`` maps a block to its stream.
+
+    Each block makes one positioned read, of the span of cells from its
+    first to its last listed trial.
+    """
+    w = -(-n // 4) * 4
+    parts, start = [], 0
+    while start < len(trials):
+        block = int(trials[start]) // BLOCK
+        stop = (len(trials) if int(trials[-1]) // BLOCK == block
+                else int(np.searchsorted(trials, (block + 1) * BLOCK)))
+        base = block * BLOCK
+        lo, hi = int(trials[start]) - base, int(trials[stop - 1]) - base
+        stream = streams[block]
+        state = stream.bit_generator.state
+        # a counter step gives 4 outputs, and the next output comes from the next step
+        state["state"]["counter"][0] = (row * BLOCK + lo) * CHUNK * w // 4
+        state["buffer_pos"] = 4
+        stream.bit_generator.state = state
+        span = stream.random((hi - lo + 1, CHUNK, w))
+        parts.append(span if stop - start == hi - lo + 1 else span[trials[start:stop] - base - lo])
+        start = stop
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def draw_normals(streams: dict, trials: np.ndarray, chunk: int, n: int) -> np.ndarray:
+    """Standard normals ``(T, CHUNK, n)`` of evidence chunk ``chunk`` (sequences
+    ``CHUNK * chunk + 1`` on) for the sorted trial indices ``trials``.
+
+    Box-Muller pairs each cell's first ``CHUNK / 2`` sequences (radii) with
+    its last ones (angles); the radius reads ``1 - u``, which is never 0.
+    """
+    u = read_cells(streams, trials, chunk + 1, n)
+    pairs = u.reshape(len(u), 2, CHUNK // 2, -1)
+    radius = np.sqrt(-2.0 * np.log1p(-pairs[:, 0]))
+    angle = 2.0 * np.pi * pairs[:, 1]
+    # the normals overwrite the uniforms, all of which have been read
+    np.cos(angle, pairs[:, 0])
+    np.sin(angle, pairs[:, 1])
+    pairs *= radius[:, None]
+    return u[..., :n]
+
+
+def trial_normals(master_seed: int, trial_index: int, n: int, sequences: int) -> np.ndarray:
+    """The standard normals ``(sequences, n)`` that trial ``trial_index``
+    reads, one row per sequence, as the harness and ``run_trial`` read them."""
+    block = trial_index // BLOCK
+    streams, trials = {block: trial_stream(master_seed, block)}, np.array([trial_index])
+    chunks = [draw_normals(streams, trials, chunk, n)[0] for chunk in range(-(-sequences // CHUNK))]
+    return np.concatenate([np.empty((0, n)), *chunks])[:sequences]
 
 
 def resolve_queried(scheme: QueryScheme, probs: np.ndarray) -> np.ndarray:
@@ -148,31 +244,34 @@ def resolve_queried(scheme: QueryScheme, probs: np.ndarray) -> np.ndarray:
     if isinstance(scheme, Broadcast):
         return np.ones(probs.shape, dtype=bool)
     # a class's rank is its position in the stable descending order
-    rank = np.argsort(np.argsort(-probs, axis=-1, kind="stable"), axis=-1)
-    return rank < scheme.n_queries
+    return (-probs).argsort(-1, kind="stable").argsort(-1) < scheme.n_queries
 
 
 def log_evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
-                 queried: np.ndarray) -> np.ndarray:
+                 queried: np.ndarray | None = None) -> np.ndarray:
     """Log evidence from standard normals ``z`` of shape ``(..., n)``.
 
     A queried true class reads the positive channel, other queried
-    classes the negative one, and unqueried classes get exactly 0.
+    classes the negative one, and unqueried classes get exactly 0;
+    ``queried`` None queries every class.
     """
     log_e = model.mu_neg + model.c_neg * z
     log_e[..., true_index] = model.mu_pos + model.c_pos * z[..., true_index]
-    log_e[~queried] = 0.0
+    if queried is not None:
+        log_e[~queried] = 0.0
     return log_e
 
 
-def classify_until_stop(cfg, rules, log_priors: np.ndarray, rngs: list,
+def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trials: np.ndarray,
                         keep_states: bool = False) -> tuple[np.ndarray, np.ndarray, list | None]:
     """The classify-until-stop loop over a batch of trials.
 
     ``cfg`` (a :class:`TrialConfig` or an experiment config) supplies the
     model, true class, scheme, ``max_sequences`` and ``check_prior``;
-    ``log_priors`` holds each trial's prior log weights ``(T, n)`` and
-    ``rngs`` its random stream, which gives ``n`` normals per sequence.
+    ``log_priors`` holds each trial's prior log weights ``(T, n)``,
+    ``trials`` its sorted trial indices and ``streams`` the stream of each
+    of their blocks, from which :func:`draw_normals` reads ``n`` normals
+    per sequence, a chunk of sequences at a time.
 
     Each sequence updates every trial in the log domain and tests every
     rule on the new states (and on the priors with ``check_prior``).
@@ -185,7 +284,6 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, rngs: list,
     also returns the log states, one ``(T_s, n)`` array per state for the
     trials still in the batch; with no rules, that is every trial.
     """
-    horizon = cfg.max_sequences
     t_count, n = log_priors.shape
     first, decision = np.full((2, len(rules), t_count), -1)
     rows = np.arange(t_count)
@@ -193,19 +291,16 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, rngs: list,
     families = {(rule.family, rule.alpha): rule for rule in rules}
     logp = _normalize_log_weights(log_priors)
     previous = None
-    states = [logp] if keep_states else None
     z = np.empty((t_count, 0, n))
-    start = drawn = 0
-    for s in range(horizon + 1):
+    states = [logp] if keep_states else None
+    for s in range(cfg.max_sequences + 1):
         if s:
-            if s > drawn:
-                # blocks of 8, 8, 16, 32, ... sequences: a trial draws at most
-                # twice the normals it uses, or 8 sequences' worth
-                size = min(max(drawn, 8), horizon - drawn)
-                z = np.array([rng.standard_normal((size, n)) for rng in rngs])
-                start, drawn = drawn, drawn + size
-            queried = resolve_queried(cfg.scheme, np.exp(logp))
-            log_e = log_evidence(cfg.model, cfg.true_index, z[:, s - 1 - start], queried)
+            chunk, step = divmod(s - 1, CHUNK)
+            if not step:
+                z = draw_normals(streams, trials, chunk, n)
+            queried = (None if isinstance(cfg.scheme, Broadcast)
+                       else resolve_queried(cfg.scheme, np.exp(logp)))
+            log_e = log_evidence(cfg.model, cfg.true_index, z[:, step], queried)
             logp = _normalize_log_weights(logp + log_e)
             if keep_states:
                 states.append(logp)
@@ -226,9 +321,8 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, rngs: list,
         if not keep.any():
             break
         if not keep.all():
-            rows, pending, z = rows[keep], pending[:, keep], z[keep]
+            rows, trials, pending, z = rows[keep], trials[keep], pending[:, keep], z[keep]
             logp = previous = logp[keep]
-            rngs = [rng for rng, k in zip(rngs, keep) if k]
     return first, decision, states
 
 
@@ -242,9 +336,11 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     censors the trial.  The trajectory holds the loop's own states, so
     they equal the harness's states for the same trial bit for bit.
     """
+    block = config.trial_index // BLOCK
     first, decision, states = classify_until_stop(
         config, (config.rule,), config.prior.log_probs[None],
-        [trial_stream(config.seed, config.trial_index)], keep_states=True)
+        {block: trial_stream(config.seed, block)}, np.array([config.trial_index]),
+        keep_states=True)
     path = np.concatenate(states)
     path.flags.writeable = False
     trajectory = tuple(map(SimplexPoint._normalized, path))

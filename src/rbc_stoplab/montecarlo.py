@@ -14,8 +14,10 @@ accuracy matrices:
 Three bundled benchmark scenarios (``T2``, ``T3``, ``T4``) carry
 reference matrices; ``reproduce_table`` reruns them and reports per-cell
 agreement.  Trials run through ``engine.classify_until_stop``, the same
-loop ``run_trial`` runs on a batch of one, on per-trial random
-substreams.
+loop ``run_trial`` runs on a batch of one.  Trial ``t`` reads the cells
+of its own trial index in the Philox stream of its block of
+``engine.BLOCK`` trials, so its draws do not depend on ``n_trials`` or on
+which other trials are still running.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ import numpy as np
 
 from .criteria import FAMILIES, calibrate
 from .engine import (
+    BLOCK,
     Broadcast,
     EvidenceModel,
     QueryScheme,
     TrialConfig,
     classify_until_stop,
+    read_cells,
     trial_stream,
 )
 from .simplex import SimplexPoint
@@ -70,9 +74,10 @@ DEFAULT_TABLE_SEED = 20210814
 class RandomRemainder:
     """Prior spec: fixed true-class mass, the rest random per trial.
 
-    The non-true classes receive independent uniform(0, 1) raw weights,
-    normalized to ``1 - true_mass``, redrawn for every trial from that
-    trial's substream (before any evidence draws).
+    The non-true classes receive independent uniform [0, 1) raw weights,
+    normalized to ``1 - true_mass``, redrawn for every trial: they are
+    the first ``n - 1`` uniforms of the trial's row-0 cell in its block
+    stream, which no evidence draw reads.
     """
 
     true_mass: float
@@ -138,17 +143,19 @@ class ExperimentResult:
         return self.methods.index(method)
 
 
-def _batch(cfg: ExperimentConfig) -> tuple[np.ndarray, list]:
-    """Prior log weights ``(T, n)`` and random streams for every trial;
-    each stream has drawn its trial's prior and goes on with the evidence."""
-    rngs = [trial_stream(cfg.master_seed, t) for t in range(cfg.n_trials)]
+def _batch(cfg: ExperimentConfig) -> tuple[np.ndarray, dict, np.ndarray]:
+    """Prior log weights ``(T, n)``, the random stream of every block and
+    the trial indices, for every trial of ``cfg``."""
+    trials = np.arange(cfg.n_trials)
+    streams = {block: trial_stream(cfg.master_seed, block)
+               for block in range(-(-cfg.n_trials // BLOCK))}
     if isinstance(cfg.prior, SimplexPoint):
-        return np.tile(cfg.prior.log_probs, (len(rngs), 1)), rngs
-    raw = np.array([rng.random(cfg.n - 1) for rng in rngs])
-    p = np.full((len(rngs), cfg.n), cfg.prior.true_mass)
+        return np.tile(cfg.prior.log_probs, (cfg.n_trials, 1)), streams, trials
+    raw = read_cells(streams, trials, 0, cfg.n).reshape(cfg.n_trials, -1)[:, :cfg.n - 1]
+    p = np.full((cfg.n_trials, cfg.n), cfg.prior.true_mass)
     p[:, np.arange(cfg.n) != cfg.true_index] = ((1.0 - cfg.prior.true_mass) * raw
                                                 / raw.sum(1)[:, None])
-    return np.log(p), rngs
+    return np.log(p), streams, trials
 
 
 def _aggregate(cfg: ExperimentConfig, methods, first: np.ndarray,
@@ -185,7 +192,7 @@ def _aggregate(cfg: ExperimentConfig, methods, first: np.ndarray,
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials for all methods and aggregate the matrices.
 
-    Every method reads the same per-trial evidence stream (common random
+    Every method reads the same draws of each trial (common random
     numbers), so method comparisons are paired; independent draws per
     method come from separate runs with different ``master_seed``.
     """
@@ -401,8 +408,9 @@ class EnsembleResult:
 
 def trajectory_ensemble(cfg: ExperimentConfig, n_paths: int = 100) -> EnsembleResult:
     """Probability paths of ``n_paths`` unstopped trials from ``cfg.prior``
-    plus their mean path; trial ``t`` reads the harness's stream for trial
-    ``t``, so its path is the one ``run_experiment`` and ``run_trial`` see."""
+    plus their mean path; trial ``t`` reads the cells of trial ``t``, and
+    only those, so its path is the one ``run_experiment`` and ``run_trial``
+    see."""
     sub = replace(cfg, n_trials=n_paths)
     states = classify_until_stop(sub, [], *_batch(sub), keep_states=True)[2]
     paths = np.exp(np.stack(states, axis=1))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rbc_stoplab.cli import main, parse_config_file
+from rbc_stoplab.engine import RNG_LAYOUT
 
 
 GOOD_CONFIG = """\
@@ -124,6 +125,13 @@ class TestConfigParsing:
         rc = main(argv[command])
         assert rc == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_seed_beyond_64_bits_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("seed = 42", f"seed = {2**64}")
+                            + f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["simulate", path]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_method_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path,
@@ -281,6 +289,34 @@ class TestTrajectoriesCommand:
         assert rc == 2
         assert "--paths" in capsys.readouterr().err
         assert not (tmp_path / "tr").exists()
+
+
+class TestRngLayout:
+    """Every manifest records the random-number layout, and a config may
+    name only the layout this version draws with."""
+
+    def test_every_manifest_records_the_layout(self, tmp_path):
+        cfg = write_config(tmp_path, GOOD_CONFIG + f"out_dir = {tmp_path / 'sim'}\n")
+        assert main(["simulate", cfg]) == 0
+        assert main(["table", "T2", "--trials", "20", "--out-dir", str(tmp_path / "tab")]) in (0, 1)
+        assert main(["boundary", "M1", "--tau", "0.8", "--resolution", "12",
+                     "--out-dir", str(tmp_path / "bdy")]) == 0
+        for out in ("sim", "tab", "bdy"):
+            manifest = (tmp_path / out / "manifest.txt").read_text().splitlines()
+            assert manifest[-1] == f"rng_layout = {RNG_LAYOUT}", out
+
+    def test_recorded_layout_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, GOOD_CONFIG + f"rng_layout = {RNG_LAYOUT}\n"
+                           f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["simulate", cfg]) == 0
+
+    def test_other_layout_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, GOOD_CONFIG + "rng_layout = seedsequence-per-trial\n"
+                           f"out_dir = {tmp_path / 'out'}\n")
+        assert main(["simulate", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "rng_layout" in err and "seedsequence-per-trial" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestManifestReruns:

@@ -8,13 +8,18 @@ import pytest
 from rbc_stoplab.bounds import BoundQuery, min_sequences_constant_evidence
 from rbc_stoplab.criteria import calibrate
 from rbc_stoplab.engine import (
+    BLOCK,
+    CHUNK,
     Broadcast,
     EvidenceModel,
     TopN,
     TrialConfig,
+    draw_normals,
     log_evidence,
+    read_cells,
     resolve_queried,
     run_trial,
+    trial_normals,
     trial_stream,
 )
 from rbc_stoplab.simplex import SimplexPoint, center_line_distance, special_point
@@ -32,29 +37,29 @@ def deterministic_model(eps):
 
 
 class TestSampleEvidence:
-    """One sequence of evidence: a trial stream's normals through ``log_evidence``."""
+    """One sequence of evidence: a trial's normals through ``log_evidence``."""
 
     def test_broadcast_channels(self):
-        z = trial_stream(1, 0).standard_normal(3)
+        z = trial_normals(1, 0, 3, 1)[0]
         log_e = log_evidence(deterministic_model(2.0), 0, z, np.ones(3, dtype=bool))
         np.testing.assert_allclose(np.exp(log_e), [2.0, 1.0, 1.0])
 
     def test_unqueried_get_neutral_evidence(self):
-        z = trial_stream(1, 0).standard_normal(3)
+        z = trial_normals(1, 0, 3, 1)[0]
         queried = np.array([False, True, False])
         log_e = log_evidence(deterministic_model(2.0), 0, z, queried)
         # the true class was not queried, so it gets exactly 1
         np.testing.assert_array_equal(log_e, [0.0, 0.0, 0.0])
 
     def test_all_entries_positive(self):
-        z = trial_stream(5, 3).standard_normal((100, 4))
+        z = trial_normals(5, 3, 4, 100)
         log_e = log_evidence(NOISY, 2, z, np.ones((100, 4), dtype=bool))
         assert np.all(np.exp(log_e) > 0) and np.all(np.isfinite(log_e))
 
     def test_draw_layout_independent_of_mask(self):
         # one normal per class is consumed each sequence whatever the query
         # mask, so top-1 querying reads the draws broadcast would
-        z = trial_stream(9, 0).standard_normal((2, 3))
+        z = trial_normals(9, 0, 3, 2)
         cfg = TrialConfig(prior=sp([0.5, 0.3, 0.2]), true_index=0,
                           rule=calibrate("M1", 1.0, 3), model=NOISY, scheme=TopN(1),
                           max_sequences=2, seed=9, check_prior=False)
@@ -63,6 +68,54 @@ class TestSampleEvidence:
             queried = resolve_queried(TopN(1), point.probs)
             point = SimplexPoint(point.log_probs + log_evidence(NOISY, 0, z[s], queried))
             np.testing.assert_allclose(state.probs, point.probs, rtol=1e-12)
+
+
+class TestNormals:
+    """The block streams' Box-Muller normals."""
+
+    @staticmethod
+    def span_normals(seed, n_trials, n, chunk):
+        streams = {b: trial_stream(seed, b) for b in range(-(-n_trials // BLOCK))}
+        return draw_normals(streams, np.arange(n_trials), chunk, n)
+
+    def test_standard_normal_moments(self):
+        z = self.span_normals(2024, 2500, 10, 0).ravel()
+        assert z.size == 200_000
+        se = 1.0 / math.sqrt(z.size)
+        tail = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(2.0 / math.sqrt(2.0))))
+        # each tolerance is 5 standard errors of its estimate
+        assert abs(z.mean()) < 5 * se
+        assert abs(z.var() - 1.0) < 5 * math.sqrt(2.0) * se
+        assert abs(np.mean(np.abs(z) > 2.0) - tail) < 5 * math.sqrt(tail * (1 - tail)) * se
+        # a radius reads 1 - u >= 2**-53
+        assert np.abs(z).max() < 8.58
+
+    def test_cells_tile_the_stream_row_major(self):
+        # each uniform takes one output; a row holds BLOCK cells of CHUNK * w
+        n, w = 5, 8
+        streams = {1: trial_stream(3, 1)}
+        rows = [read_cells(streams, np.arange(BLOCK, 2 * BLOCK), row, n) for row in range(3)]
+        flat = trial_stream(3, 1).random(3 * BLOCK * CHUNK * w)
+        np.testing.assert_array_equal(np.concatenate(rows).ravel(), flat)
+
+    def test_chunk_c_reads_row_c_plus_1(self):
+        # reference Box-Muller: radii from a cell's first four sequences,
+        # angles from its last four; row 0 is left to random priors
+        streams, trials = {2: trial_stream(8, 2)}, np.array([2050])
+        z = trial_normals(8, 2050, 3, 16)
+        for chunk in (0, 1):
+            u = read_cells(streams, trials, chunk + 1, 3)[0]
+            radius, angle = np.sqrt(-2.0 * np.log1p(-u[:4])), 2.0 * np.pi * u[4:]
+            expected = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
+            np.testing.assert_array_equal(z[8 * chunk:8 * chunk + 8], expected[:, :3])
+
+    @pytest.mark.parametrize("chunk", [0, 2])
+    def test_a_trial_reads_its_own_cells(self, chunk):
+        # random access: one trial's draws equal its rows of a whole-span draw
+        span = self.span_normals(11, 1100, 5, chunk)
+        for t in (0, 1, 1023, 1024, 1099):
+            z = trial_normals(11, t, 5, 8 * (chunk + 1))
+            np.testing.assert_array_equal(z[8 * chunk:], span[t])
 
 
 class TestResolveQueried:
@@ -231,6 +284,11 @@ class TestConfigValidation:
             EvidenceModel(0.5, -0.1, 0.0, 0.5)
         with pytest.raises(ValueError, match="seed"):
             TrialConfig(prior=prior, true_index=0, rule=rule, model=NOISY, seed=-1)
+
+    def test_rejects_seed_beyond_64_bits(self):
+        with pytest.raises(ValueError, match="seed"):
+            TrialConfig(prior=sp([0.5, 0.3, 0.2]), true_index=0,
+                        rule=calibrate("M1", 0.8, 3), model=NOISY, seed=2**64)
 
     def test_rejects_negative_trial_index(self):
         with pytest.raises(ValueError, match="trial_index"):

@@ -13,8 +13,10 @@ from rbc_stoplab.engine import (
     TopN,
     TrialConfig,
     log_evidence,
+    read_cells,
     resolve_queried,
     run_trial,
+    trial_normals,
     trial_stream,
 )
 from rbc_stoplab.montecarlo import (
@@ -196,14 +198,14 @@ def oracle_trial(cfg, rule, trial_index):
     """First stop (-1 if censored) and decision of one trial, stepped one
     point at a time through the public single-point API: the reference
     the batched loop is checked against."""
-    rng = trial_stream(cfg.master_seed, trial_index)
+    z = trial_normals(cfg.master_seed, trial_index, cfg.n, cfg.max_sequences)
     point, state = SimplexPoint(cfg.prior.log_probs), CriterionState()
     for s in range(cfg.max_sequences + 1):
         if s:
-            z = rng.standard_normal(cfg.n)
             queried = resolve_queried(cfg.scheme, point.probs)
             point = SimplexPoint(point.log_probs
-                                 + log_evidence(cfg.model, cfg.true_index, z, queried))
+                                 + log_evidence(cfg.model, cfg.true_index, z[s - 1],
+                                                queried))
         if s or cfg.check_prior:
             stop, state = should_stop(rule, state, point)
             if stop:
@@ -270,6 +272,48 @@ class TestConfigValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
             small_config(master_seed=-1)
+
+    def test_seed_must_fit_the_philox_key(self):
+        # the seed is one 64-bit word of the key
+        assert run_experiment(small_config(master_seed=2**64 - 1, n_trials=3)).n_trials == 3
+        with pytest.raises(ValueError, match="seed"):
+            small_config(master_seed=2**64)
+
+
+class TestBlockStreams:
+    """A trial reads its own cells of its block's stream, so its draws do
+    not depend on how many trials run or which of them are still running."""
+
+    @pytest.mark.parametrize("prior", [sp([0.42, 0.55, 0.03]), RandomRemainder(0.4)])
+    def test_stop_records_do_not_depend_on_the_batch(self, prior):
+        base = dict(prior=prior, methods=FAMILIES, max_sequences=20)
+        small = run_experiment(small_config(n_trials=1030, **base))
+        large = run_experiment(small_config(n_trials=2100, **base))
+        np.testing.assert_array_equal(small.first_stop, large.first_stop[:, :1030])
+        np.testing.assert_array_equal(small.stop_correct, large.stop_correct[:, :1030])
+
+    def test_random_prior_reads_row_0(self):
+        # the non-true masses are the first n - 1 uniforms of the trial's row-0 cell
+        cfg = small_config(n=4, prior=RandomRemainder(0.4), n_trials=1030, methods=("M1",))
+        priors = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths[:, 0]
+        streams = {0: trial_stream(cfg.master_seed, 0), 1: trial_stream(cfg.master_seed, 1)}
+        raw = read_cells(streams, np.arange(cfg.n_trials), 0, 4).reshape(cfg.n_trials, -1)[:, :3]
+        np.testing.assert_allclose(priors[:, 0], 0.4, rtol=1e-12)
+        np.testing.assert_allclose(priors[:, 1:], 0.6 * raw / raw.sum(1, keepdims=True),
+                                   rtol=1e-12)
+
+    def test_run_trial_matches_the_harness_across_blocks(self):
+        cfg = small_config(n_trials=2100, methods=FAMILIES, max_sequences=20)
+        res = run_experiment(cfg)
+        for t in (0, 1023, 1024, 1029, 2047, 2048, 2099):
+            for m, method in enumerate(cfg.methods):
+                out = run_trial(TrialConfig(
+                    prior=cfg.prior, true_index=0, rule=calibrate(method, cfg.tau, cfg.n),
+                    model=cfg.model, max_sequences=cfg.max_sequences,
+                    seed=cfg.master_seed, trial_index=t))
+                first = res.first_stop[m, t]
+                assert out.stopped_at == (None if first < 0 else first), (method, t)
+                assert bool(out.correct) == bool(res.stop_correct[m, t]), (method, t)
 
 
 class TestReferenceTables:
