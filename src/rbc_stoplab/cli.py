@@ -239,21 +239,31 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_s_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+def _parse_s_range(text: str, name: str) -> list[int]:
+    """Sequence counts from ``lo:hi`` or comma-separated integers; ``name``
+    is the option or key the text came from."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{name} must be 'lo:hi' or comma-separated integers, "
+                          f"got {text!r}") from None
+    if not values:
+        raise ConfigError(f"{name} must list at least one sequence count, got {text!r}")
+    if min(values) < 1:
+        raise ConfigError(f"{name} must hold sequence counts of at least 1, got {text!r}")
+    return values
 
 
 def _cmd_bounds(args) -> int:
     cfg, resolved = build_experiment_config(parse_config_file(args.config, "s_range"))
     if not isinstance(cfg.prior, SimplexPoint):
         raise ConfigError("key 'prior': bounds need an explicit prior vector")
-    try:
-        s_values = _parse_s_range(_own_option(args, resolved, "s_range"))
-    except ValueError:
-        raise ConfigError("--s-range must be 'lo:hi' or comma-separated integers") from None
+    s_values = _parse_s_range(_own_option(args, resolved, "s_range"),
+                              "--s-range" if args.s_range is not None else "key 's_range'")
     probs = np.array(cfg.prior.probs)
     probs[cfg.true_index] = -1.0
     competitor = int(np.argmax(probs))

@@ -279,6 +279,10 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     with the state of its previous evaluation.  A trial leaves the batch
     once every rule has stopped it.
 
+    The batch is held class-major: the states and each sequence's normals
+    are ``(T, n)`` arrays in Fortran order, so every reduction over the
+    classes runs as ``n`` vector passes over the trials.
+
     Returns ``first`` and ``decision`` ``(R, T)``: each rule's first stop
     and argmax decision there, -1 if it never stopped.  ``keep_states``
     also returns the log states, one ``(T_s, n)`` array per state for the
@@ -289,18 +293,20 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     rows = np.arange(t_count)
     pending = first < 0
     families = {(rule.family, rule.alpha): rule for rule in rules}
-    logp = _normalize_log_weights(log_priors)
-    previous = None
-    z = np.empty((t_count, 0, n))
+    logp = _normalize_log_weights(np.asfortranarray(log_priors))
+    # live: the columns of the chunk's normals that belong to the batch's
+    # trials, None while all of them do
+    previous = live = None
     states = [logp] if keep_states else None
     for s in range(cfg.max_sequences + 1):
         if s:
             chunk, step = divmod(s - 1, CHUNK)
             if not step:
-                z = draw_normals(streams, trials, chunk, n)
+                z, live = draw_normals(streams, trials, chunk, n).transpose(1, 2, 0).copy(), None
             queried = (None if isinstance(cfg.scheme, Broadcast)
                        else resolve_queried(cfg.scheme, np.exp(logp)))
-            log_e = log_evidence(cfg.model, cfg.true_index, z[:, step], queried)
+            z_s = z[step] if live is None else z[step].take(live, 1)
+            log_e = log_evidence(cfg.model, cfg.true_index, z_s.T, queried)
             logp = _normalize_log_weights(logp + log_e)
             if keep_states:
                 states.append(logp)
@@ -321,8 +327,10 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
         if not keep.any():
             break
         if not keep.all():
-            rows, trials, pending, z = rows[keep], trials[keep], pending[:, keep], z[keep]
-            logp = previous = logp[keep]
+            rows, trials, pending = rows[keep], trials[keep], pending[:, keep]
+            live = keep.nonzero()[0] if live is None else live[keep]
+            # indexing would return the kept states row-major
+            logp = previous = logp.T.compress(keep, 1).T
     return first, decision, states
 
 

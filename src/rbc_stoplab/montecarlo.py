@@ -413,7 +413,8 @@ def trajectory_ensemble(cfg: ExperimentConfig, n_paths: int = 100) -> EnsembleRe
     see."""
     sub = replace(cfg, n_trials=n_paths)
     states = classify_until_stop(sub, [], *_batch(sub), keep_states=True)[2]
-    paths = np.exp(np.stack(states, axis=1))
+    # row-major paths, so that the mean adds them path by path
+    paths = np.exp(np.ascontiguousarray(np.stack(states, axis=1)))
     return EnsembleResult(paths=paths, mean=paths.mean(axis=0))
 
 

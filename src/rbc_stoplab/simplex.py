@@ -42,13 +42,50 @@ __all__ = [
 _LOG2 = np.log(2.0)
 
 
+def _class_sum(x: np.ndarray) -> np.ndarray:
+    """Sum along the last (class) axis, grouped as numpy groups the sum of
+    one contiguous row, whatever the layout and batch size.
+
+    numpy adds a contiguous row of fewer than 8 terms in order, and a
+    longer one pairwise: up to 128 terms, eight running sums over blocks
+    of 8, a fixed tree over them, then the leftover terms; beyond that,
+    the sums of two halves split at a multiple of 8.  Summed across a
+    class-major batch, numpy would add every row in order instead, so
+    such a batch takes the same grouping here in vector passes over its
+    classes, and a batch of one and a batch of thousands give the same
+    bits.
+    """
+    if x.shape[-1] < 8 or x.flags.c_contiguous:
+        return np.add.reduce(x, -1)
+    # numpy adds the row's sum to an identity of 0.0, which turns -0.0 into 0.0
+    return _pairwise_sum(x) + 0.0
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of at least 8 terms along the last axis."""
+    n = x.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[..., :half]) + _pairwise_sum(x[..., half:])
+    blocks = n - n % 8
+    r = x[..., :8]
+    for i in range(8, blocks, 8):
+        r = r + x[..., i:i + 8]
+    while r.shape[-1] > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r = r[..., 0::2] + r[..., 1::2]
+    total = r[..., 0]
+    for i in range(blocks, n):
+        total = total + x[..., i]
+    return total
+
+
 def _normalize_log_weights(logw: np.ndarray) -> np.ndarray:
     """Shift log weights along the last axis so the implied masses sum to
     one (log-sum-exp)."""
     m = logw.max(-1)[..., None]
     if not np.isfinite(m).all():
         raise ValueError("distribution has no positive mass")
-    return logw - (m + np.log(np.exp(logw - m).sum(-1))[..., None])
+    return logw - (m + np.log(_class_sum(np.exp(logw - m)))[..., None])
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,7 +299,10 @@ def confidence(log_probs: np.ndarray) -> np.ndarray:
 
 def top_two_gap(log_probs: np.ndarray) -> np.ndarray:
     """Largest minus second-largest mass along the last axis."""
-    top = np.exp(np.partition(log_probs, -2, axis=-1)[..., -2:])
+    # a row-major copy: numpy partitions contiguous rows fastest
+    top = np.array(log_probs, order="C")
+    top.partition(-2, -1)
+    top = np.exp(top[..., -2:])
     return top[..., 1] - top[..., 0]
 
 
@@ -270,7 +310,7 @@ def shannon_bits(log_probs: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits along the last axis, with ``0 log 0 = 0``."""
     terms = np.exp(log_probs)
     np.multiply(terms, log_probs, out=terms, where=np.isfinite(log_probs))
-    return -np.sum(terms, axis=-1) / _LOG2
+    return -_class_sum(terms) / _LOG2
 
 
 def renyi_bits(log_probs: np.ndarray, alpha: float) -> np.ndarray:
@@ -284,13 +324,13 @@ def renyi_bits(log_probs: np.ndarray, alpha: float) -> np.ndarray:
                          where=np.isfinite(log_probs))
     m = scaled.max(-1)
     np.exp(np.subtract(scaled, m[..., None], out=scaled), out=scaled)
-    return (m + np.log(scaled.sum(-1))) / ((1.0 - alpha) * _LOG2)
+    return (m + np.log(_class_sum(scaled))) / ((1.0 - alpha) * _LOG2)
 
 
 def kl_bits(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     """``KL(p || q)`` in bits along the last axis; ``p``'s zeros add nothing."""
     terms = np.subtract(log_p, log_q, out=np.zeros_like(log_p), where=np.isfinite(log_p))
-    return np.multiply(terms, np.exp(log_p), out=terms).sum(-1) / _LOG2
+    return _class_sum(np.multiply(terms, np.exp(log_p), out=terms)) / _LOG2
 
 
 def shannon_entropy(p: SimplexPoint) -> float:

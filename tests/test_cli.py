@@ -269,6 +269,22 @@ class TestBoundsCommand:
         lines = (out_dir / "bounds.csv").read_text().splitlines()
         assert [line.split(",")[3] for line in lines] == ["tp_m2norm", "nan", "nan"]
 
+    @pytest.mark.parametrize("s_range", ["5:1", "0:3", "2,0", "-1"])
+    def test_bad_range_names_option(self, tmp_path, capsys, s_range):
+        # an empty range or a count below 1 fails before any output is written
+        cfg = GOOD_CONFIG + f"out_dir = {tmp_path / 'bd'}\n"
+        assert main(["bounds", write_config(tmp_path, cfg), f"--s-range={s_range}"]) == 2
+        assert "--s-range" in capsys.readouterr().err
+        assert not (tmp_path / "bd").exists()
+
+    @pytest.mark.parametrize("s_range", ["5:1", "0:3", "x"])
+    def test_bad_range_from_config_names_key(self, tmp_path, capsys, s_range):
+        cfg = GOOD_CONFIG + f"s_range = {s_range}\nout_dir = {tmp_path / 'bd'}\n"
+        assert main(["bounds", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "'s_range'" in err and "--s-range" not in err
+        assert not (tmp_path / "bd").exists()
+
 
 class TestTrajectoriesCommand:
     def test_writes_paths_and_mean(self, tmp_path):

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rbc_stoplab import engine
 from rbc_stoplab.criteria import FAMILIES, CriterionState, calibrate, should_stop
 from rbc_stoplab.engine import (
+    CHUNK,
     Broadcast,
     EvidenceModel,
     TopN,
     TrialConfig,
+    classify_until_stop,
     log_evidence,
     read_cells,
     resolve_queried,
@@ -22,6 +25,7 @@ from rbc_stoplab.engine import (
 from rbc_stoplab.montecarlo import (
     ExperimentConfig,
     RandomRemainder,
+    _batch,
     comparison_to_csv,
     letters_projection,
     read_matrix_csv,
@@ -172,8 +176,9 @@ class TestRunExperiment:
 @st.composite
 def trial_cases(draw):
     """A harness config over every family, with priors that may hold a
-    zero-mass class and evidence far outside the bundled tables."""
-    n = draw(st.integers(2, 6))
+    zero-mass class and evidence far outside the bundled tables; from 8
+    classes on, numpy sums a row pairwise."""
+    n = draw(st.integers(2, 12))
     weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
                             min_size=n, max_size=n).filter(lambda w: sum(w) > 0))
     scheme = draw(st.one_of(st.just(Broadcast()), st.integers(1, n).map(TopN)))
@@ -258,6 +263,57 @@ class TestHarnessMatchesEngine:
                 seed=cfg.master_seed, trial_index=t))
             path = np.exp([point.log_probs for point in out.trajectory])
             np.testing.assert_array_equal(path, kept[t, :len(path)])
+
+    def test_states_of_leaving_trials_are_the_ensemble_paths(self):
+        # ten classes, one of zero mass, top-3 querying: trials leave the
+        # batch in the middle of a chunk of normals, and every state the
+        # loop still holds, like every run_trial trajectory, is the no-rule
+        # ensemble path bit for bit
+        prior = sp([0.13, 0.52, 0.30, 0.01, 0.01, 0.01, 0.0, 0.01, 0.005, 0.005])
+        cfg = small_config(n=10, prior=prior, true_index=1, tau=0.75, methods=("M1",),
+                           model=EvidenceModel(0.8, 0.5, -0.3, 0.5), scheme=TopN(3),
+                           n_trials=300, max_sequences=20)
+        rule = calibrate("M1", cfg.tau, cfg.n)
+        kept = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths
+        first, _, states = classify_until_stop(cfg, [rule], *_batch(cfg), keep_states=True)
+        sizes = [len(state) for state in states]
+        # a state s was updated with step (s - 1) % CHUNK of its chunk
+        assert any(sizes[s] < sizes[s - 1] for s in range(2, len(sizes)) if (s - 1) % CHUNK)
+        for s, state in enumerate(states):
+            alive = (first[0] < 0) | (first[0] >= s)
+            assert np.exp(state).tobytes() == kept[alive, s].tobytes(), s
+        for t in range(0, cfg.n_trials, 7):
+            out = run_trial(TrialConfig(
+                prior=prior, true_index=1, rule=rule, model=cfg.model, scheme=cfg.scheme,
+                max_sequences=cfg.max_sequences, seed=cfg.master_seed, trial_index=t))
+            path = np.exp([point.log_probs for point in out.trajectory])
+            assert path.tobytes() == kept[t, :len(path)].tobytes(), t
+
+
+class TestBatchLayout:
+    def test_harness_batches_are_class_major(self, monkeypatch):
+        # a row-major batch gives the same numbers, only slower, so no
+        # output check would notice one
+        seen = []
+
+        def spy(name, position):
+            original = getattr(engine, name)
+
+            def call(*args):
+                batch = args[position]
+                if len(batch) > 1:
+                    seen.append((name, batch.shape, batch.flags.f_contiguous))
+                return original(*args)
+            monkeypatch.setattr(engine, name, call)
+
+        spy("_normalize_log_weights", 0)
+        spy("log_evidence", 2)
+        spy("stop_statistic", 1)
+        run_experiment(table_config("T3", n_trials=2000))
+        assert {name for name, _, _ in seen} == {"_normalize_log_weights", "log_evidence",
+                                                 "stop_statistic"}
+        assert all(shape[1] == 10 for _, shape, _ in seen)
+        assert [entry for entry in seen if not entry[2]] == []
 
 
 class TestConfigValidation:

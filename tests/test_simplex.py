@@ -6,13 +6,18 @@ import pytest
 from rbc_stoplab.simplex import (
     LikelihoodVector,
     SimplexPoint,
+    _class_sum,
+    _normalize_log_weights,
     center_line_distance,
     delta_mp,
+    kl_bits,
     kl_divergence,
     oplus,
     otimes,
     project_to_center_line,
+    renyi_bits,
     renyi_entropy,
+    shannon_bits,
     shannon_entropy,
     special_point,
     top_two,
@@ -420,3 +425,75 @@ class TestCollinearUpdates:
             ref = (post[0] - 1) / (pv[0] - 1)
             for j in range(1, 4):
                 assert abs(post[j] / pv[j] - ref) <= 1e-9
+
+
+def class_sum_terms(rng, batch, n):
+    """Signed terms of every magnitude, a fifth of them exactly zero as
+    ``exp`` of a ``-inf`` log entry, and one row of zeros only."""
+    logs = rng.normal(0.0, 20.0, (batch, n))
+    logs[rng.random((batch, n)) < 0.2] = -np.inf
+    logs[batch // 2] = -np.inf
+    return np.where(rng.random((batch, n)) < 0.3, -1.0, 1.0) * np.exp(logs)
+
+
+def layouts(x):
+    """``x`` row-major, class-major, and as views with gaps or reversed
+    axes, each holding the same values."""
+    batch, n = x.shape
+    spaced = np.zeros((2 * batch, 2 * n))
+    spaced[::2, ::2] = x
+    yield "C", x
+    yield "F", np.asfortranarray(x)
+    yield "rows sliced", spaced[::2, ::2]
+    yield "F rows sliced", np.asfortranarray(spaced)[::2, ::2]
+    yield "reversed", np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1]
+    yield "F reversed", np.asfortranarray(x[::-1, ::-1])[::-1, ::-1]
+
+
+class TestClassSum:
+    """The class sum groups its terms as numpy groups a contiguous row,
+    at every layout, batch size and class count: if a numpy release
+    groups them differently, these fail first."""
+
+    @staticmethod
+    def check(x):
+        want = np.ascontiguousarray(x).sum(-1)
+        for name, view in layouts(x):
+            got = _class_sum(view)
+            assert got.tobytes() == want.tobytes(), (name, x.shape)
+
+    def test_every_class_count_at_small_batches(self):
+        rng = np.random.default_rng(29)
+        for n in range(1, 301):
+            for batch in (1, 2, 37):
+                self.check(class_sum_terms(rng, batch, n))
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 10, 15, 16, 17, 127, 128, 129, 136, 256, 300])
+    def test_large_batch(self, n):
+        self.check(class_sum_terms(np.random.default_rng(n), 5000, n))
+
+    def test_batch_axes_and_single_rows(self):
+        rng = np.random.default_rng(31)
+        for n in (5, 12, 200):
+            x = class_sum_terms(rng, 24, n).reshape(4, 6, n)
+            want = np.ascontiguousarray(x).sum(-1)
+            assert _class_sum(np.asfortranarray(x)).tobytes() == want.tobytes()
+            assert _class_sum(x.T.copy().T).tobytes() == want.tobytes()
+            for row, total in zip(x.reshape(-1, n), want.ravel()):
+                assert _class_sum(row[::-1].copy()[::-1]) == total
+
+    def test_statistics_of_a_class_major_batch_are_its_rows(self):
+        # a batch of thousands gives each row the bits of a batch of one
+        rng = np.random.default_rng(37)
+        stats = (shannon_bits, lambda lp: renyi_bits(lp, 2.0), lambda lp: renyi_bits(lp, 0.2),
+                 lambda lp: kl_bits(lp, np.roll(lp, 1, axis=0)))
+        for n in (3, 10, 130):
+            logw = np.log(rng.dirichlet(np.full(n, 0.3), size=3000))
+            logw[rng.random(logw.shape) < 0.1] = -np.inf
+            logw[:, 0] = np.log(0.5)
+            batch = _normalize_log_weights(np.asfortranarray(logw))
+            rows = np.array([_normalize_log_weights(row) for row in logw])
+            assert batch.tobytes(order="C") == rows.tobytes()
+            for stat in stats:
+                want = np.concatenate([stat(rows[[t - 1, t]])[1:] for t in range(len(rows))])
+                assert stat(batch).tobytes() == want.tobytes()
