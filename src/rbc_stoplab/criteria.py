@@ -80,6 +80,12 @@ class StoppingRule:
         if self.n < 2:
             raise ValueError("n must be at least 2")
 
+    @property
+    def statistic_key(self) -> tuple:
+        """What :func:`stop_statistic` computes for the rule: M1 and M1bar
+        both read the confidence, M2 and M4 of one order one Renyi entropy."""
+        return {"M1bar": "M1", "M4": "M2"}.get(self.family, self.family), self.alpha
+
 
 @dataclass(frozen=True)
 class CriterionState:
@@ -105,6 +111,10 @@ def calibrate(family: str, tau: float, n: int, *, alpha: float | None = None) ->
 
     ``alpha`` overrides the Renyi order for M2 (default 2) and M4
     (default 0.2).
+
+    For ``n >= 3`` the domain holds ``tau < 1/2``, where the stop region of
+    MP and M1bar is the whole simplex: both stop on the prior.  At ``1/2``
+    it lacks only top-two ties (MP) or the center (M1bar).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")

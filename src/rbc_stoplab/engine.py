@@ -211,22 +211,30 @@ def read_cells(streams: dict, trials: np.ndarray, row: int, n: int) -> np.ndarra
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _polar(streams: dict, trials: np.ndarray, chunk: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller radii and angles ``(CHUNK / 2, n, T)``, class-major, of
+    chunk ``chunk`` of ``trials``: a cell's first ``CHUNK / 2`` sequences give
+    radii (of ``1 - u``, never 0), its last ones angles, from ``n`` columns."""
+    u = read_cells(streams, trials, chunk + 1, n)[..., :n].transpose(1, 2, 0).copy()
+    return np.sqrt(-2.0 * np.log1p(-u[:CHUNK // 2])), 2.0 * np.pi * u[CHUNK // 2:]
+
+
+def _half_normals(polar: tuple, half: int, live: np.ndarray | None = None) -> np.ndarray:
+    """The normals ``(CHUNK / 2, n, T)`` of half ``half`` of a chunk from its
+    :func:`_polar` output: cosines for the first half, sines for the second;
+    ``live`` (None for all) picks the trial columns to compute."""
+    radius, angle = polar if live is None else (part.take(live, 2) for part in polar)
+    # the sines take the angles' place: no later half reads them
+    z = np.sin(angle, out=angle) if half else np.cos(angle)
+    z *= radius
+    return z
+
+
 def draw_normals(streams: dict, trials: np.ndarray, chunk: int, n: int) -> np.ndarray:
     """Standard normals ``(T, CHUNK, n)`` of evidence chunk ``chunk`` (sequences
-    ``CHUNK * chunk + 1`` on) for the sorted trial indices ``trials``.
-
-    Box-Muller pairs each cell's first ``CHUNK / 2`` sequences (radii) with
-    its last ones (angles); the radius reads ``1 - u``, which is never 0.
-    """
-    u = read_cells(streams, trials, chunk + 1, n)
-    pairs = u.reshape(len(u), 2, CHUNK // 2, -1)
-    radius = np.sqrt(-2.0 * np.log1p(-pairs[:, 0]))
-    angle = 2.0 * np.pi * pairs[:, 1]
-    # the normals overwrite the uniforms, all of which have been read
-    np.cos(angle, pairs[:, 0])
-    np.sin(angle, pairs[:, 1])
-    pairs *= radius[:, None]
-    return u[..., :n]
+    ``CHUNK * chunk + 1`` on) for the sorted trial indices ``trials``."""
+    polar = _polar(streams, trials, chunk, n)
+    return np.concatenate([_half_normals(polar, half) for half in (0, 1)]).transpose(2, 0, 1)
 
 
 def trial_normals(master_seed: int, trial_index: int, n: int, sequences: int) -> np.ndarray:
@@ -270,14 +278,15 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     model, true class, scheme, ``max_sequences`` and ``check_prior``;
     ``log_priors`` holds each trial's prior log weights ``(T, n)``,
     ``trials`` its sorted trial indices and ``streams`` the stream of each
-    of their blocks, from which :func:`draw_normals` reads ``n`` normals
-    per sequence, a chunk of sequences at a time.
+    of their blocks.  Each chunk's Box-Muller radii and angles give the
+    cosines of its first half for the whole batch, and the sines of its
+    second half for the trials still in it.
 
     Each sequence updates every trial in the log domain and tests every
     rule on the new states (and on the priors with ``check_prior``).
-    Rules differing only in threshold share their statistic; M5 compares
-    with the state of its previous evaluation.  A trial leaves the batch
-    once every rule has stopped it.
+    Each distinct statistic (``StoppingRule.statistic_key``) is computed
+    once per sequence; M5 compares with the state of its previous
+    evaluation.  A trial leaves the batch once every rule has stopped it.
 
     The batch is held class-major: the states and each sequence's normals
     are ``(T, n)`` arrays in Fortran order, so every reduction over the
@@ -292,17 +301,23 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     first, decision = np.full((2, len(rules), t_count), -1)
     rows = np.arange(t_count)
     pending = first < 0
-    families = {(rule.family, rule.alpha): rule for rule in rules}
+    keys = [rule.statistic_key for rule in rules]
+    plan = dict(zip(keys, rules))
     logp = _normalize_log_weights(np.asfortranarray(log_priors))
-    # live: the columns of the chunk's normals that belong to the batch's
-    # trials, None while all of them do
+    # live: the columns of the normals z that belong to the batch's trials,
+    # None while all of them do
     previous = live = None
     states = [logp] if keep_states else None
     for s in range(cfg.max_sequences + 1):
         if s:
             chunk, step = divmod(s - 1, CHUNK)
+            half, step = divmod(step, CHUNK // 2)
             if not step:
-                z, live = draw_normals(streams, trials, chunk, n).transpose(1, 2, 0).copy(), None
+                z = None  # spent: freed before the next normals are made
+                if not half:
+                    polar, live = _polar(streams, trials, chunk, n), None
+                # a chunk's second half only for the trials still in the batch
+                z, live = _half_normals(polar, half, live), None
             queried = (None if isinstance(cfg.scheme, Broadcast)
                        else resolve_queried(cfg.scheme, np.exp(logp)))
             z_s = z[step] if live is None else z[step].take(live, 1)
@@ -312,16 +327,19 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
                 states.append(logp)
         if not rules or not (s or cfg.check_prior):
             continue
-        statistics = {key: stop_statistic(rule, logp, previous)
-                      for key, rule in families.items()}
-        hits = pending & np.array([in_stop_region(rule, statistics[rule.family, rule.alpha])
-                                   for rule in rules])
+        statistics = {key: stop_statistic(rule, logp, previous) for key, rule in plan.items()}
+        hits = pending & np.array([in_stop_region(rule, statistics[key])
+                                   for rule, key in zip(rules, keys)])
         previous = logp
-        if not hits.any():
+        # count_nonzero and take cost a batch of one least
+        if not np.count_nonzero(hits):
             continue
-        r_new, t_new = np.nonzero(hits)
-        first[r_new, rows[t_new]] = s
-        decision[r_new, rows[t_new]] = logp[t_new].argmax(-1)
+        # one argmax per stopped trial; a flat nonzero outruns a two-axis one
+        stopped = hits.any(0).nonzero()[0]
+        j, r_new = np.divmod(hits.T.take(stopped, 0).ravel().nonzero()[0], len(rules))
+        t_new = rows[stopped[j]]
+        first[r_new, t_new] = s
+        decision[r_new, t_new] = logp.take(stopped, 0).argmax(-1)[j]
         pending ^= hits
         keep = pending.any(0)
         if not keep.any():

@@ -298,12 +298,20 @@ def confidence(log_probs: np.ndarray) -> np.ndarray:
 
 
 def top_two_gap(log_probs: np.ndarray) -> np.ndarray:
-    """Largest minus second-largest mass along the last axis."""
-    # a row-major copy: numpy partitions contiguous rows fastest
-    top = np.array(log_probs, order="C")
-    top.partition(-2, -1)
-    top = np.exp(top[..., -2:])
-    return top[..., 1] - top[..., 0]
+    """Largest minus second-largest mass along the last axis: contiguous
+    rows are partitioned, other layouts (a class-major batch) keep a running
+    top two over the classes; both select entries, so their bits agree."""
+    if log_probs.flags.c_contiguous:
+        top = log_probs.copy()
+        top.partition(-2, -1)
+        top = np.exp(top[..., -2:])
+        return top[..., 1] - top[..., 0]
+    c0, c1 = log_probs[..., 0], log_probs[..., 1]
+    m1, m2 = np.maximum(c0, c1), np.minimum(c0, c1)
+    for j in range(2, log_probs.shape[-1]):
+        c = log_probs[..., j]
+        m1, m2 = np.maximum(m1, c), np.maximum(m2, np.minimum(m1, c))
+    return np.exp(m1) - np.exp(m2)
 
 
 def shannon_bits(log_probs: np.ndarray) -> np.ndarray:

@@ -13,6 +13,9 @@ than being loosened; the reproducible sub-claims pass.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -374,26 +377,28 @@ def test_criterion_7_letters_projection():
     report(checks, "7 (typing projection)")
 
 
-def test_criterion_8_determinism(tmp_path, monkeypatch):
+def test_criterion_8_determinism(tmp_path):
     from rbc_stoplab.cli import main
 
-    def run(out_dir, workers):
-        if workers is None:
-            monkeypatch.delenv("RBC_STOPLAB_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("RBC_STOPLAB_THREADS", str(workers))
-        main(["table", "T2", "--trials", "1000", "--out-dir", str(out_dir)])
+    argv = ["table", "T2", "--trials", "1000", "--out-dir"]
+
+    def read(out_dir):
         return {
             name: (out_dir / name).read_bytes()
             for name in ("comparison_T2.csv", "p_stop.csv", "p_true_given_stop.csv",
                          "summary.csv")
         }
 
-    a = run(tmp_path / "a", None)
-    b = run(tmp_path / "b", None)
-    c = run(tmp_path / "c", 5)
+    main([*argv, str(tmp_path / "a")])
+    main([*argv, str(tmp_path / "b")])
+    # a fresh interpreter shares no module state with this one
+    subprocess.run([sys.executable, "-c", "import sys; from rbc_stoplab.cli import main; "
+                    "main(sys.argv[1:])", *argv, str(tmp_path / "c")],
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                   check=True, stdout=subprocess.DEVNULL)
+    a, b, c = (read(tmp_path / run) for run in "abc")
     checks = [
         ("same seed twice gives byte-identical CSVs", a == b),
-        ("worker-count hint does not change any byte", a == c),
+        ("a rerun in a fresh process gives byte-identical CSVs", a == c),
     ]
     report(checks, "8 (determinism)")

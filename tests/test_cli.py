@@ -171,11 +171,9 @@ class TestTable:
         assert os.path.exists(os.path.join(out_dir, "comparison_T2.csv"))
         assert "cells within" in capsys.readouterr().out
 
-    def test_byte_identical_reruns_across_worker_counts(self, tmp_path, monkeypatch):
+    def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-        monkeypatch.delenv("RBC_STOPLAB_THREADS", raising=False)
         main(["table", "T2", "--trials", "300", "--out-dir", out_a])
-        monkeypatch.setenv("RBC_STOPLAB_THREADS", "3")
         main(["table", "T2", "--trials", "300", "--out-dir", out_b])
         for name in ("comparison_T2.csv", "p_stop.csv", "p_true_given_stop.csv"):
             assert read_bytes(os.path.join(out_a, name)) == \
@@ -232,13 +230,12 @@ class TestSweepCommand:
         assert lines[0] == "method,tau,mean_sequences,mean_accuracy"
         assert len(lines) == 1 + 3 * 2  # three configured methods, two taus
 
-    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
+    def test_byte_identical_reruns(self, tmp_path):
         blobs = []
-        for workers in ("1", "3"):
-            monkeypatch.setenv("RBC_STOPLAB_THREADS", workers)
-            out_dir = tmp_path / f"sw{workers}"
+        for run in ("a", "b"):
+            out_dir = tmp_path / f"sw_{run}"
             cfg = GOOD_CONFIG + f"out_dir = {out_dir}\n"
-            path = write_config(tmp_path, cfg, name=f"run{workers}.cfg")
+            path = write_config(tmp_path, cfg, name=f"run_{run}.cfg")
             assert main(["sweep", path, "--tau-list", "0.7,0.8,0.9"]) == 0
             blobs.append(read_bytes(out_dir / "sweep.csv"))
         assert blobs[0] == blobs[1]

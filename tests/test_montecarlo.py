@@ -1,5 +1,6 @@
 """Harness: aggregation semantics, determinism, serialization, projections."""
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -77,13 +78,15 @@ class TestRunExperiment:
         c = run_experiment(small_config(master_seed=778))
         assert not np.array_equal(a.p_stop, c.p_stop)
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.delenv("RBC_STOPLAB_THREADS", raising=False)
+    def test_rerun_repeats_stop_records(self):
+        # a run of another config in between leaves nothing behind that a
+        # rerun would read
         a = run_experiment(small_config())
-        monkeypatch.setenv("RBC_STOPLAB_THREADS", "4")
+        run_experiment(small_config(n=10, prior=RandomRemainder(0.1), tau=0.85,
+                                    model=EvidenceModel(0.8, 0.5, -0.3, 0.5), scheme=TopN(3)))
         b = run_experiment(small_config())
-        np.testing.assert_array_equal(a.p_stop, b.p_stop)
-        np.testing.assert_array_equal(a.first_stop, b.first_stop)
+        assert a.first_stop.tobytes() == b.first_stop.tobytes()
+        assert a.stop_correct.tobytes() == b.stop_correct.tobytes()
 
     def test_shared_streams_order_gap_rule_before_confidence(self):
         # with common random numbers the confidence stop can never come
@@ -289,6 +292,39 @@ class TestHarnessMatchesEngine:
             path = np.exp([point.log_probs for point in out.trajectory])
             assert path.tobytes() == kept[t, :len(path)].tobytes(), t
 
+    @pytest.mark.parametrize("scheme", [Broadcast(), TopN(3)])
+    def test_trials_leave_in_either_half_of_a_chunk(self, scheme):
+        # trials leave after steps of both halves of a chunk, so a chunk's
+        # second half of normals is made for part of its trials only, and
+        # the batch straddles the first block boundary; every stop record
+        # and path is still run_trial's bit for bit
+        prior = sp([0.13, 0.52, 0.30, 0.01, 0.01, 0.01, 0.0, 0.01, 0.005, 0.005])
+        cfg = small_config(n=10, prior=prior, true_index=1, tau=0.9, methods=("M1", "MP"),
+                           model=EvidenceModel(0.4, 0.5, -0.3, 0.5), scheme=scheme,
+                           n_trials=1100, max_sequences=20)
+        rules = [calibrate(m, cfg.tau, cfg.n) for m in cfg.methods]
+        res = run_experiment(cfg)
+        kept = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths
+        first, _, states = classify_until_stop(cfg, rules, *_batch(cfg), keep_states=True)
+        np.testing.assert_array_equal(first, res.first_stop)
+        # state s + 1 is the first without the trials that left at state s
+        left = {(s - 1) % CHUNK for s in range(1, len(states) - 1)
+                if len(states[s + 1]) < len(states[s])}
+        assert {1, 2, 3, 5, 6, 7} <= left, left
+        for s, state in enumerate(states):
+            alive = (first < 0).any(0) | (first.max(0) >= s)
+            assert np.exp(state).tobytes() == kept[alive, s].tobytes(), s
+        for t in [*range(1010, 1040), *range(0, cfg.n_trials, 50)]:
+            for m, rule in enumerate(rules):
+                out = run_trial(TrialConfig(
+                    prior=prior, true_index=1, rule=rule, model=cfg.model, scheme=scheme,
+                    max_sequences=cfg.max_sequences, seed=cfg.master_seed, trial_index=t))
+                assert (out.stopped_at, out.correct) == (
+                    (None, None) if res.first_stop[m, t] < 0
+                    else (res.first_stop[m, t], bool(res.stop_correct[m, t]))), (m, t)
+                path = np.exp([point.log_probs for point in out.trajectory])
+                assert path.tobytes() == kept[t, :len(path)].tobytes(), (m, t)
+
 
 class TestBatchLayout:
     def test_harness_batches_are_class_major(self, monkeypatch):
@@ -296,19 +332,20 @@ class TestBatchLayout:
         # output check would notice one
         seen = []
 
-        def spy(name, position):
+        def spy(name, parameter):
             original = getattr(engine, name)
+            signature = inspect.signature(original)
 
-            def call(*args):
-                batch = args[position]
+            def call(*args, **kwargs):
+                batch = signature.bind(*args, **kwargs).arguments[parameter]
                 if len(batch) > 1:
                     seen.append((name, batch.shape, batch.flags.f_contiguous))
-                return original(*args)
+                return original(*args, **kwargs)
             monkeypatch.setattr(engine, name, call)
 
-        spy("_normalize_log_weights", 0)
-        spy("log_evidence", 2)
-        spy("stop_statistic", 1)
+        spy("_normalize_log_weights", "logw")
+        spy("log_evidence", "z")
+        spy("stop_statistic", "log_probs")
         run_experiment(table_config("T3", n_trials=2000))
         assert {name for name, _, _ in seen} == {"_normalize_log_weights", "log_evidence",
                                                  "stop_statistic"}

@@ -21,6 +21,7 @@ from rbc_stoplab.simplex import (
     shannon_entropy,
     special_point,
     top_two,
+    top_two_gap,
 )
 
 
@@ -497,3 +498,45 @@ class TestClassSum:
             for stat in stats:
                 want = np.concatenate([stat(rows[[t - 1, t]])[1:] for t in range(len(rows))])
                 assert stat(batch).tobytes() == want.tobytes()
+
+
+def gap_terms(rng, batch, n):
+    """Log masses ``(batch, n)``: a fifth of the classes of zero mass, a
+    fifth of the rows with their largest mass in a second class too, and
+    one row with a single finite entry."""
+    logs = rng.normal(0.0, 3.0, (batch, n))
+    logs[rng.random((batch, n)) < 0.2] = -np.inf
+    top = logs.argmax(1)
+    tied = np.flatnonzero(rng.random(batch) < 0.2)
+    logs[tied, (top[tied] + rng.integers(1, n, len(tied))) % n] = logs[tied, top[tied]]
+    logs[batch // 2] = -np.inf
+    logs[batch // 2, rng.integers(n)] = rng.normal()
+    return logs
+
+
+class TestTopTwoGapLayouts:
+    """A batch that is not row-major takes a running top two over its
+    classes, contiguous rows the partition: both give every row the bits
+    of a single point."""
+
+    @staticmethod
+    def check(x):
+        want = top_two_gap(np.ascontiguousarray(x))
+        assert want.tobytes() == np.array([top_two_gap(row) for row in x]).tobytes()
+        for name, view in layouts(x):
+            assert top_two_gap(view).tobytes() == want.tobytes(), (name, x.shape)
+        return want
+
+    def test_every_class_count_at_small_batches(self):
+        rng = np.random.default_rng(41)
+        for n in range(2, 301):
+            for batch in (2, 37):
+                self.check(gap_terms(rng, batch, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 300])
+    def test_large_batch_with_ties_and_single_entries(self, n):
+        x = gap_terms(np.random.default_rng(n), 5000, n)
+        gap = self.check(x)
+        assert (gap == 0.0).any()
+        single = x[len(x) // 2]
+        assert gap[len(x) // 2] == np.exp(single.max())
