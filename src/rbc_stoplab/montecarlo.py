@@ -430,8 +430,8 @@ def letters_projection(acc: float, e_seq: float, total_letters: int = 100,
     """
     if not 0.0 < acc <= 1.0:
         raise ValueError("acc must lie in (0, 1]")
-    if e_seq <= 0:
-        raise ValueError("e_seq must be positive")
+    if not 0.0 < e_seq < math.inf:
+        raise ValueError(f"e_seq must be positive and finite, got {e_seq}")
     if total_letters < 1:
         raise ValueError("total_letters must be at least 1")
     remaining = int(total_letters)

@@ -43,40 +43,13 @@ _LOG2 = np.log(2.0)
 
 
 def _class_sum(x: np.ndarray) -> np.ndarray:
-    """Sum along the last (class) axis, grouped as numpy groups the sum of
-    one contiguous row, whatever the layout and batch size.
-
-    numpy adds a contiguous row of fewer than 8 terms in order, and a
-    longer one pairwise: up to 128 terms, eight running sums over blocks
-    of 8, a fixed tree over them, then the leftover terms; beyond that,
-    the sums of two halves split at a multiple of 8.  Summed across a
-    class-major batch, numpy would add every row in order instead, so
-    such a batch takes the same grouping here in vector passes over its
-    classes, and a batch of one and a batch of thousands give the same
-    bits.
-    """
-    if x.shape[-1] < 8 or x.flags.c_contiguous:
-        return np.add.reduce(x, -1)
-    # numpy adds the row's sum to an identity of 0.0, which turns -0.0 into 0.0
-    return _pairwise_sum(x) + 0.0
-
-
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of at least 8 terms along the last axis."""
-    n = x.shape[-1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(x[..., :half]) + _pairwise_sum(x[..., half:])
-    blocks = n - n % 8
-    r = x[..., :8]
-    for i in range(8, blocks, 8):
-        r = r + x[..., i:i + 8]
-    while r.shape[-1] > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        r = r[..., 0::2] + r[..., 1::2]
-    total = r[..., 0]
-    for i in range(blocks, n):
-        total = total + x[..., i]
-    return total
+    """Sum along the last (class) axis in index order, ``x_0 + x_1 + ...``,
+    at every layout and batch size.  numpy reduces a class-major batch of
+    two or more rows one class at a time, but would add any other layout
+    (a single row too) pairwise, so that takes the running sum."""
+    if x.flags.f_contiguous and x.size > x.shape[-1]:
+        return np.add.reduce(x, -1, initial=-0.0)  # -0.0 + x_0 is x_0, a zero's sign too
+    return np.add.accumulate(x, -1)[..., -1]
 
 
 def _normalize_log_weights(logw: np.ndarray) -> np.ndarray:

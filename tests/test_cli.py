@@ -219,6 +219,12 @@ class TestLetters:
                      "--literal-pseudocode"]) == 0
         assert capsys.readouterr().out.strip() == "169.84"
 
+    @pytest.mark.parametrize("eseq", ["nan", "inf"])
+    def test_non_finite_eseq_is_rejected(self, capsys, eseq):
+        assert main(["letters", "--acc", "0.9", "--eseq", eseq]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "e_seq" in out.err and eseq in out.err
+
 
 class TestSweepCommand:
     def test_writes_curve(self, tmp_path):

@@ -179,9 +179,8 @@ class TestRunExperiment:
 @st.composite
 def trial_cases(draw):
     """A harness config over every family, with priors that may hold a
-    zero-mass class and evidence far outside the bundled tables; from 8
-    classes on, numpy sums a row pairwise."""
-    n = draw(st.integers(2, 12))
+    zero-mass class and evidence far outside the bundled tables."""
+    n = draw(st.integers(2, 20))
     weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
                             min_size=n, max_size=n).filter(lambda w: sum(w) > 0))
     scheme = draw(st.one_of(st.just(Broadcast()), st.integers(1, n).map(TopN)))
@@ -255,9 +254,14 @@ class TestHarnessMatchesEngine:
                 assert (out.stopped_at, out.decision) == \
                     ((None, None) if first < 0 else (first, decision)), (method, t)
 
+    # numpy would sum one row pairwise from 8 classes on, in blocks of 8 from
+    # 16 and split above 128: at 17 and 130 classes a batch of one and a
+    # batch of many must still add in index order
+    @pytest.mark.parametrize("n", [3, 17, 130])
     @pytest.mark.parametrize("scheme", [Broadcast(), TopN(2)])
-    def test_run_trial_trajectory_is_the_harness_path(self, scheme):
-        cfg = small_config(n_trials=20, methods=("M1",), scheme=scheme)
+    def test_run_trial_trajectory_is_the_harness_path(self, scheme, n):
+        prior = small_config().prior if n == 3 else sp(np.linspace(1.0, 2.0, n))
+        cfg = small_config(n=n, prior=prior, n_trials=20, methods=("M1",), scheme=scheme)
         kept = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths
         for t in range(cfg.n_trials):
             out = run_trial(TrialConfig(
@@ -541,6 +545,9 @@ class TestLettersProjection:
             letters_projection(0.9, 0.0)
         with pytest.raises(ValueError):
             letters_projection(1.2, 10.0)
+        for e_seq in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="e_seq must be positive and finite"):
+                letters_projection(0.9, e_seq)
 
 
 class TestCsvRoundTrip:

@@ -1,5 +1,8 @@
 """Geometry core: examples with independent oracles plus invariant sweeps."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -430,11 +433,21 @@ class TestCollinearUpdates:
 
 def class_sum_terms(rng, batch, n):
     """Signed terms of every magnitude, a fifth of them exactly zero as
-    ``exp`` of a ``-inf`` log entry, and one row of zeros only."""
+    ``exp`` of a ``-inf`` log entry; from three rows on, one row holds
+    zeros of either sign only and the last row negative zeros only."""
     logs = rng.normal(0.0, 20.0, (batch, n))
     logs[rng.random((batch, n)) < 0.2] = -np.inf
-    logs[batch // 2] = -np.inf
-    return np.where(rng.random((batch, n)) < 0.3, -1.0, 1.0) * np.exp(logs)
+    signs = np.where(rng.random((batch, n)) < 0.3, -1.0, 1.0)
+    if batch > 2:
+        logs[[batch // 2, -1]] = -np.inf
+        signs[-1] = -1.0
+    return signs * np.exp(logs)
+
+
+def in_order_sum(x):
+    """``x_0 + x_1 + ...`` along the last axis, one Python float at a time."""
+    rows = x.reshape(-1, x.shape[-1]).tolist()
+    return np.array([functools.reduce(operator.add, row) for row in rows]).reshape(x.shape[:-1])
 
 
 def layouts(x):
@@ -452,21 +465,22 @@ def layouts(x):
 
 
 class TestClassSum:
-    """The class sum groups its terms as numpy groups a contiguous row,
-    at every layout, batch size and class count: if a numpy release
-    groups them differently, these fail first."""
+    """The class sum adds the classes in index order, checked against a
+    Python loop at every layout, batch size and class count.  A class-major
+    batch of two or more rows takes numpy's reduction and every other
+    layout numpy's running sum: if a numpy release orders either one
+    differently, these fail first."""
 
     @staticmethod
     def check(x):
-        want = np.ascontiguousarray(x).sum(-1)
+        want = in_order_sum(x)
         for name, view in layouts(x):
-            got = _class_sum(view)
-            assert got.tobytes() == want.tobytes(), (name, x.shape)
+            assert _class_sum(view).tobytes() == want.tobytes(), (name, x.shape)
 
     def test_every_class_count_at_small_batches(self):
         rng = np.random.default_rng(29)
         for n in range(1, 301):
-            for batch in (1, 2, 37):
+            for batch in (1, 2, 3, 37):
                 self.check(class_sum_terms(rng, batch, n))
 
     @pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 10, 15, 16, 17, 127, 128, 129, 136, 256, 300])
@@ -477,11 +491,14 @@ class TestClassSum:
         rng = np.random.default_rng(31)
         for n in (5, 12, 200):
             x = class_sum_terms(rng, 24, n).reshape(4, 6, n)
-            want = np.ascontiguousarray(x).sum(-1)
-            assert _class_sum(np.asfortranarray(x)).tobytes() == want.tobytes()
-            assert _class_sum(x.T.copy().T).tobytes() == want.tobytes()
+            want = in_order_sum(x)
+            for batch in (x, np.asfortranarray(x), x.T.copy().T):
+                assert _class_sum(batch).tobytes() == want.tobytes()
+            spaced = np.zeros(2 * n)
             for row, total in zip(x.reshape(-1, n), want.ravel()):
-                assert _class_sum(row[::-1].copy()[::-1]) == total
+                spaced[::2] = row
+                for single in (row, row[None], row[::-1].copy()[::-1], spaced[::2]):
+                    assert _class_sum(single).tobytes() == total.tobytes()
 
     def test_statistics_of_a_class_major_batch_are_its_rows(self):
         # a batch of thousands gives each row the bits of a batch of one
