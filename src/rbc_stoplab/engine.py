@@ -41,6 +41,7 @@ __all__ = [
     "TrialOutcome",
     "BLOCK",
     "CHUNK",
+    "SEEK",
     "RNG_LAYOUT",
     "trial_stream",
     "read_cells",
@@ -96,6 +97,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 BLOCK = 1024  # trials per random stream
 CHUNK = 8  # sequences per cell of a stream
+SEEK = 400  # uniforms whose generation takes about as long as one positioned read
 RNG_LAYOUT = f"philox-block{BLOCK}-chunk{CHUNK}"
 
 
@@ -188,27 +190,34 @@ def read_cells(streams: dict, trials: np.ndarray, row: int, n: int) -> np.ndarra
     indices ``trials``, ``w`` being ``n`` rounded up to a multiple of 4;
     ``streams`` maps a block to its stream.
 
-    Each block makes one positioned read, of the span of cells from its
-    first to its last listed trial.
+    The listed trials are read in runs, each from one positioned read: a
+    run ends at a block's end, or before a gap between listed trials whose
+    cells would take more than ``SEEK`` uniforms to generate.  A run
+    without gaps is generated straight into the result; the cells of a
+    run's gaps are generated and dropped.
     """
     w = -(-n // 4) * 4
-    parts, start = [], 0
-    while start < len(trials):
-        block = int(trials[start]) // BLOCK
-        stop = (len(trials) if int(trials[-1]) // BLOCK == block
-                else int(np.searchsorted(trials, (block + 1) * BLOCK)))
-        base = block * BLOCK
-        lo, hi = int(trials[start]) - base, int(trials[stop - 1]) - base
-        stream = streams[block]
-        state = stream.bit_generator.state
+    out = np.empty((len(trials), CHUNK, w))
+    cuts = [] if len(trials) < 2 else (np.flatnonzero(
+        ((np.diff(trials) - 1) * (CHUNK * w) > SEEK) | np.diff(trials // BLOCK)) + 1).tolist()
+    block = None
+    for start, stop in zip([0, *cuts], [*cuts, len(trials)]):
+        lo, hi = int(trials[start]), int(trials[stop - 1])
+        if lo // BLOCK != block:
+            block = lo // BLOCK
+            stream = streams[block]
+            state = stream.bit_generator.state
+            state["buffer_pos"] = 4
         # a counter step gives 4 outputs, and the next output comes from the next step
-        state["state"]["counter"][0] = (row * BLOCK + lo) * CHUNK * w // 4
-        state["buffer_pos"] = 4
+        state["state"]["counter"][0] = (row * BLOCK + lo % BLOCK) * CHUNK * w // 4
         stream.bit_generator.state = state
-        span = stream.random((hi - lo + 1, CHUNK, w))
-        parts.append(span if stop - start == hi - lo + 1 else span[trials[start:stop] - base - lo])
-        start = stop
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if hi - lo == stop - start - 1:
+            stream.random(out=out[start:stop])
+        else:
+            # take buffers its output unless indices are clipped; none need it
+            stream.random((hi - lo + 1, CHUNK, w)).take(trials[start:stop] - lo, 0,
+                                                         out=out[start:stop], mode="clip")
+    return out
 
 
 def _polar(streams: dict, trials: np.ndarray, chunk: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -444,6 +444,8 @@ def letters_projection(acc: float, e_seq: float, total_letters: int = 100,
         else:
             total += remaining * e_seq
             remaining -= done
+    if not math.isfinite(total):
+        raise ValueError(f"e_seq = {e_seq} gives a total beyond the float range")
     return total
 
 

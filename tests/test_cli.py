@@ -225,6 +225,14 @@ class TestLetters:
         out = capsys.readouterr()
         assert out.out == "" and "e_seq" in out.err and eseq in out.err
 
+    def test_overflowing_total_is_rejected(self, capsys):
+        assert main(["letters", "--acc", "0.9", "--eseq", "1e308"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "e_seq" in out.err
+        # the largest totals below the float range still print
+        assert main(["letters", "--acc", "0.9", "--eseq", "1e306"]) == 0
+        assert capsys.readouterr().out.strip() == "1.11e+308"
+
 
 class TestSweepCommand:
     def test_writes_curve(self, tmp_path):

@@ -548,6 +548,10 @@ class TestLettersProjection:
         for e_seq in (np.nan, np.inf):
             with pytest.raises(ValueError, match="e_seq must be positive and finite"):
                 letters_projection(0.9, e_seq)
+        # finite e_seq whose total passes the float range
+        with pytest.raises(ValueError, match="e_seq"):
+            letters_projection(0.9, 1e308)
+        assert letters_projection(0.9, 1e306) == pytest.approx(1.11e308)
 
 
 class TestCsvRoundTrip:
