@@ -61,7 +61,8 @@ class ConfigError(Exception):
 
 
 def parse_config_file(path: str, own_key: str | None = None) -> dict[str, str]:
-    """Read a flat key-value config; errors carry the offending line.
+    """Read a flat key-value config, each key at most once; errors carry
+    the offending line.
 
     ``own_key`` is the one extra key a command accepts: the value of its
     own option, which its manifest records.
@@ -69,6 +70,7 @@ def parse_config_file(path: str, own_key: str | None = None) -> dict[str, str]:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -82,7 +84,10 @@ def parse_config_file(path: str, own_key: str | None = None) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if not value:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} has no value")
-            raw[key] = value
+            if key in raw:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats the one on line "
+                                  f"{lines[key]}")
+            raw[key], lines[key] = value, lineno
     return raw
 
 

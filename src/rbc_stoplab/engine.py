@@ -101,7 +101,7 @@ SEEK = 400  # uniforms whose generation takes about as long as one positioned re
 RNG_LAYOUT = f"philox-block{BLOCK}-chunk{CHUNK}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialConfig:
     prior: SimplexPoint
     true_index: int
@@ -140,20 +140,39 @@ class TrialConfig:
                                  f"finite; got {getattr(self.model, key)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialOutcome:
     """Result of one trial.
 
     ``stopped_at`` is the sequence index at which the rule fired (0 means
     the prior already satisfied it; ``None`` means censored at
-    ``max_sequences``).  The trajectory holds the prior plus one point
-    per executed sequence.
+    ``max_sequences``).  ``log_probs`` is the trial's path as one read-only
+    ``(S + 1, n)`` array of log states: the prior plus one row per executed
+    sequence.  ``trajectory`` wraps its rows as points each time it is
+    read, so a held outcome keeps one array, not one object per state.
+    Outcomes are equal when their stop records and paths are, bit for bit.
     """
 
     stopped_at: int | None
     decision: int | None
     correct: bool | None
-    trajectory: tuple[SimplexPoint, ...] = field(repr=False)
+    log_probs: np.ndarray = field(repr=False)
+
+    @property
+    def trajectory(self) -> tuple[SimplexPoint, ...]:
+        return tuple(map(SimplexPoint._normalized, self.log_probs))
+
+    def _key(self) -> tuple:
+        return (self.stopped_at, self.decision, self.correct, self.log_probs.shape,
+                self.log_probs.tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrialOutcome):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @functools.cache
@@ -368,7 +387,7 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     ``check_prior`` is set (an edge prior can terminate immediately), then
     after every update.  On stop, the decision is the posterior argmax
     with lowest-index tie-break; reaching ``max_sequences`` without a stop
-    censors the trial.  The trajectory holds the loop's own states, so
+    censors the trial.  The outcome's path holds the loop's own states, so
     they equal the harness's states for the same trial bit for bit.
     """
     block = config.trial_index // BLOCK
@@ -378,8 +397,7 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
         keep_states=True)
     path = np.concatenate(states)
     path.flags.writeable = False
-    trajectory = tuple(map(SimplexPoint._normalized, path))
     if first[0, 0] < 0:
-        return TrialOutcome(None, None, None, trajectory)
+        return TrialOutcome(None, None, None, path)
     stopped_at, choice = int(first[0, 0]), int(decision[0, 0])
-    return TrialOutcome(stopped_at, choice, choice == config.true_index, trajectory)
+    return TrialOutcome(stopped_at, choice, choice == config.true_index, path)

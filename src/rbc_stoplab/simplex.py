@@ -76,7 +76,9 @@ class SimplexPoint:
     -----
     Instances are immutable; ``n`` never changes for the lifetime of a
     value and every operation returns a fresh point whose masses sum to
-    one within 1e-12.
+    one within 1e-12.  Points are equal, and hash alike, when their log
+    probabilities are equal bit for bit; :meth:`allclose` compares within
+    a tolerance.
     """
 
     log_probs: np.ndarray
@@ -148,6 +150,14 @@ class SimplexPoint:
     def argmax(self) -> int:
         # np.argmax returns the first maximizer, i.e. lowest-index tie-break
         return int(np.argmax(self.log_probs))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimplexPoint):
+            return NotImplemented
+        return self.log_probs.tobytes() == other.log_probs.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.log_probs.tobytes())
 
     def allclose(self, other: "SimplexPoint", atol: float = 1e-12) -> bool:
         return self.n == other.n and bool(

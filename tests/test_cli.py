@@ -50,6 +50,23 @@ class TestConfigParsing:
         path = write_config(tmp_path, "# hi\n\nn = 3  # inline\n")
         assert parse_config_file(path) == {"n": "3"}
 
+    @pytest.mark.parametrize("command, extra, key", [
+        ("simulate", "n = 4\n", "n"),
+        ("sweep", "tau_list = 0.7\ntau_list = 0.8\n", "tau_list"),
+    ])
+    def test_repeated_key_names_key_and_both_lines(self, tmp_path, capsys, command, extra,
+                                                   key):
+        # the last value used to win silently: a repeated n ran as n = 4
+        path = write_config(tmp_path, GOOD_CONFIG + extra)
+        first = 1 + [line.partition("=")[0].strip()
+                     for line in (GOOD_CONFIG + extra).splitlines()].index(key)
+        repeat = len((GOOD_CONFIG + extra).splitlines())
+        rc = main([command, path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{repeat}: key {key!r}" in err
+        assert f"line {first}" in err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["simulate", str(tmp_path / "nope.cfg")])
         assert rc == 2

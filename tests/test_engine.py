@@ -2,13 +2,15 @@
 
 import hashlib
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbc_stoplab.bounds import BoundQuery, min_sequences_constant_evidence
-from rbc_stoplab.criteria import calibrate
+from rbc_stoplab.criteria import FAMILIES, calibrate
 from rbc_stoplab.engine import (
     BLOCK,
     CHUNK,
@@ -17,6 +19,7 @@ from rbc_stoplab.engine import (
     EvidenceModel,
     TopN,
     TrialConfig,
+    TrialOutcome,
     draw_normals,
     log_evidence,
     read_cells,
@@ -25,6 +28,7 @@ from rbc_stoplab.engine import (
     trial_normals,
     trial_stream,
 )
+from rbc_stoplab.montecarlo import table_config
 from rbc_stoplab.simplex import SimplexPoint, center_line_distance, special_point
 
 
@@ -257,6 +261,47 @@ class TestRunTrial:
         assert a.stopped_at == b.stopped_at
         for pa, pb in zip(a.trajectory, b.trajectory):
             np.testing.assert_array_equal(pa.log_probs, pb.log_probs)
+
+    def test_outcomes_and_configs_compare_and_hash(self):
+        base = dict(prior=sp([0.42, 0.55, 0.03]), true_index=0,
+                    rule=calibrate("M1", 0.8, 3), model=NOISY,
+                    max_sequences=30, seed=12345)
+        cfg = TrialConfig(**base, trial_index=7)
+        assert cfg == TrialConfig(**base, trial_index=7) != TrialConfig(**base, trial_index=8)
+        assert hash(cfg) == hash(TrialConfig(**base, trial_index=7))
+        a, b = run_trial(cfg), run_trial(cfg)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        # the same stop record with another path, or the same path with
+        # another stop record or shape, is another outcome
+        nudged = np.nextafter(a.log_probs, 0.0)
+        assert replace(a, log_probs=nudged) != a
+        assert replace(a, stopped_at=None, decision=None, correct=None) != a
+        assert replace(a, log_probs=a.log_probs.reshape(-1, 1)) != a
+        assert a != (a.stopped_at, a.decision, a.correct)
+
+    def test_held_outcomes_are_compact(self):
+        # an outcome holds its path as one array: one point per state cost
+        # 1,116 B an outcome on this mix (4.4 states), one array 325 B
+        t2 = table_config("T2")
+        configs = [TrialConfig(prior=t2.prior, true_index=0, rule=calibrate(family, 0.8, 3),
+                               model=t2.model, scheme=scheme, max_sequences=30, seed=7,
+                               trial_index=t)
+                   for scheme in (Broadcast(), TopN(2)) for family in FAMILIES
+                   for t in range(72)][:1000]
+        assert len(configs) == 1000 and not hasattr(configs[0], "__dict__")
+        run_trial(configs[0])
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = [run_trial(c) for c in configs]
+            per_outcome = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert isinstance(held[0], TrialOutcome)
+        assert per_outcome < 800, per_outcome
 
     def test_different_trials_differ(self):
         base = dict(prior=sp([0.42, 0.55, 0.03]), true_index=0,

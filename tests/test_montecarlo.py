@@ -268,6 +268,12 @@ class TestHarnessMatchesEngine:
                 prior=cfg.prior, true_index=0, rule=calibrate("M1", cfg.tau, cfg.n),
                 model=cfg.model, scheme=scheme, max_sequences=cfg.max_sequences,
                 seed=cfg.master_seed, trial_index=t))
+            # one read-only array of log states, wrapped as points when read
+            assert not out.log_probs.flags.writeable
+            assert out.log_probs.shape == (len(out.trajectory), n)
+            for row, point, harness in zip(out.log_probs, out.trajectory, kept[t]):
+                assert row.tobytes() == point.log_probs.tobytes()
+                assert np.exp(row).tobytes() == harness.tobytes()
             path = np.exp([point.log_probs for point in out.trajectory])
             np.testing.assert_array_equal(path, kept[t, :len(path)])
 
@@ -358,6 +364,12 @@ class TestBatchLayout:
 
 
 class TestConfigValidation:
+    def test_configs_compare_and_hash(self):
+        # equal priors compare by their bits, so equal configs are equal
+        assert small_config() == small_config() != small_config(master_seed=778)
+        assert hash(small_config()) == hash(small_config())
+        assert small_config(prior=RandomRemainder(0.5)) == small_config(prior=RandomRemainder(0.5))
+
     def test_rejects_more_queries_than_classes(self):
         with pytest.raises(ValueError, match="scheme"):
             small_config(scheme=TopN(5))

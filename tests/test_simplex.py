@@ -61,6 +61,22 @@ class TestConstruction:
         assert p.probs[2] == 0.0
         assert np.isneginf(p.log_probs[2])
 
+    def test_equality_is_bitwise_and_hash_agrees(self):
+        p = [0.42, 0.55, 0.03]
+        a, b = sp(p), sp(p)
+        assert a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        # a row of a read-only array is the same point as its copy
+        rows = np.stack([a.log_probs, sp([0.5, 0.5, 0.0]).log_probs])
+        rows.flags.writeable = False
+        assert SimplexPoint._normalized(rows[0]) == a
+        assert SimplexPoint._normalized(rows[1]) == sp([0.5, 0.5, 0.0])
+        # one ulp apart, or another dimension, is another point
+        nudged = SimplexPoint._normalized(np.nextafter(a.log_probs, 0.0))
+        assert nudged != a and nudged.allclose(a)
+        assert sp([0.5, 0.5]) != sp([0.5, 0.5, 0.0])
+        assert a != p and a != a.log_probs.tobytes()
+
     def test_likelihood_vector_strictly_positive(self):
         with pytest.raises(ValueError):
             LikelihoodVector(np.array([1.0, 0.0]))
