@@ -187,6 +187,17 @@ def _own_option(args, resolved: dict[str, str], key: str, default: str | None = 
     return resolved[key]
 
 
+def _hold_trials(name: str, n_trials: int, run, *args):
+    """``run(*args)``, whose only arrays that grow with the trial count are
+    the stop records; a ``MemoryError`` from them names ``name``, the option
+    or key that set the count."""
+    try:
+        return run(*args)
+    except MemoryError as exc:
+        raise ConfigError(f"{name}: the stop records of {n_trials} trials do not fit in "
+                          f"memory ({exc})") from None
+
+
 def write_outputs(out_dir: str, manifest: dict, csvs=(), result=None,
                   comparison=None) -> None:
     """Create ``out_dir``, write a run's CSVs, then its ``manifest.txt``,
@@ -210,7 +221,7 @@ def write_outputs(out_dir: str, manifest: dict, csvs=(), result=None,
 
 def _cmd_simulate(args) -> int:
     cfg, resolved = build_experiment_config(parse_config_file(args.config))
-    result = run_experiment(cfg)
+    result = _hold_trials("key 'trials'", cfg.n_trials, run_experiment, cfg)
     write_outputs(resolved["out_dir"], resolved, result=result)
     print(f"wrote results for {len(cfg.methods)} methods x "
           f"{cfg.max_sequences} sequences to {resolved['out_dir']}")
@@ -220,7 +231,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_table(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-    comp = reproduce_table(args.table, n_trials=args.trials, master_seed=args.seed)
+    comp = _hold_trials("--trials", args.trials, reproduce_table, args.table, args.trials,
+                        args.seed)
     write_outputs(args.out_dir, {"table": args.table, "trials": args.trials, "seed": args.seed,
                                  "tolerance": comp.tolerance, "out_dir": args.out_dir},
                   result=comp.result, comparison=comp)
@@ -236,7 +248,7 @@ def _cmd_sweep(args) -> int:
         taus = [float(t) for t in _own_option(args, resolved, "tau_list").split(",")]
     except ValueError:
         raise ConfigError("--tau-list must be comma-separated numbers") from None
-    points = speed_accuracy_sweep(cfg, taus)
+    points = _hold_trials("key 'trials'", cfg.n_trials, speed_accuracy_sweep, cfg, taus)
     write_outputs(resolved["out_dir"], resolved, [(
         "sweep.csv", ["method", "tau", "mean_sequences", "mean_accuracy"],
         ([p.method, p.tau, p.mean_sequences, p.mean_accuracy] for p in points))])

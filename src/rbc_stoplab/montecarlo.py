@@ -14,10 +14,11 @@ accuracy matrices:
 Three bundled benchmark scenarios (``T2``, ``T3``, ``T4``) carry
 reference matrices; ``reproduce_table`` reruns them and reports per-cell
 agreement.  Trials run through ``engine.classify_until_stop``, the same
-loop ``run_trial`` runs on a batch of one.  Trial ``t`` reads the cells
-of its own trial index in the Philox stream of its block of
-``engine.BLOCK`` trials, so its draws do not depend on ``n_trials`` or on
-which other trials are still running.
+loop ``run_trial`` runs on a batch of one, in the fewest equal slices of
+at most ``SLICE`` trials.  Trial ``t`` reads the cells of its own trial
+index in the Philox stream of its block of ``engine.BLOCK`` trials, so
+its draws do not depend on ``n_trials``, on its slice or on which other
+trials are still running.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ __all__ = [
 ]
 
 DEFAULT_TABLE_SEED = 20210814
+SLICE = 4 * BLOCK  # most trials that one classify_until_stop call takes
 
 
 @dataclass(frozen=True)
@@ -143,19 +145,41 @@ class ExperimentResult:
         return self.methods.index(method)
 
 
-def _batch(cfg: ExperimentConfig) -> tuple[np.ndarray, dict, np.ndarray]:
-    """Prior log weights ``(T, n)``, the random stream of every block and
-    the trial indices, for every trial of ``cfg``."""
-    trials = np.arange(cfg.n_trials)
+def _batch(cfg: ExperimentConfig, lo: int, hi: int) -> tuple[np.ndarray, dict, np.ndarray]:
+    """Prior log weights ``(hi - lo, n)``, the random stream of every block
+    they touch and the trial indices, for trials ``lo`` to ``hi - 1`` of
+    ``cfg``."""
+    trials = np.arange(lo, hi)
     streams = {block: trial_stream(cfg.master_seed, block)
-               for block in range(-(-cfg.n_trials // BLOCK))}
+               for block in range(lo // BLOCK, -(-hi // BLOCK))}
     if isinstance(cfg.prior, SimplexPoint):
-        return np.tile(cfg.prior.log_probs, (cfg.n_trials, 1)), streams, trials
-    raw = read_cells(streams, trials, 0, cfg.n).reshape(cfg.n_trials, -1)[:, :cfg.n - 1]
-    p = np.full((cfg.n_trials, cfg.n), cfg.prior.true_mass)
+        return np.tile(cfg.prior.log_probs, (hi - lo, 1)), streams, trials
+    raw = read_cells(streams, trials, 0, cfg.n).reshape(hi - lo, -1)[:, :cfg.n - 1]
+    p = np.full((hi - lo, cfg.n), cfg.prior.true_mass)
     p[:, np.arange(cfg.n) != cfg.true_index] = ((1.0 - cfg.prior.true_mass) * raw
                                                 / raw.sum(1)[:, None])
     return np.log(p), streams, trials
+
+
+def _classify(cfg: ExperimentConfig, rules) -> tuple[np.ndarray, np.ndarray]:
+    """Each rule's first stop and decision ``(R, T)`` over every trial of
+    ``cfg``, as one :func:`classify_until_stop` call over all of them gives.
+
+    The trials run in the fewest equal slices of at most ``SLICE``; each
+    trial reads its own cells and carries its own state, so slicing moves
+    no bit, and only the stop records grow with ``n_trials``.  They are
+    allocated before any trial runs.
+    """
+    try:
+        first, decision = np.empty((2, len(rules), cfg.n_trials), dtype=int)
+    except ValueError as exc:  # numpy's answer to a size past the address space
+        raise MemoryError(str(exc)) from None
+    count = -(-cfg.n_trials // SLICE)
+    edges = [cfg.n_trials * k // count for k in range(count + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        first[:, lo:hi], decision[:, lo:hi], _ = classify_until_stop(cfg, rules,
+                                                                     *_batch(cfg, lo, hi))
+    return first, decision
 
 
 def _aggregate(cfg: ExperimentConfig, methods, first: np.ndarray,
@@ -197,8 +221,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     method come from separate runs with different ``master_seed``.
     """
     rules = [calibrate(m, cfg.tau, cfg.n) for m in cfg.methods]
-    first, decision, _ = classify_until_stop(cfg, rules, *_batch(cfg))
-    return _aggregate(cfg, cfg.methods, first, decision)
+    return _aggregate(cfg, cfg.methods, *_classify(cfg, rules))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +416,7 @@ def speed_accuracy_sweep(cfg: ExperimentConfig, tau_list,
 
     pairs = [(method, tau) for method in methods for tau in taus]
     rules = [calibrate(method, tau, cfg.n) for method, tau in pairs]
-    first, decision, _ = classify_until_stop(cfg, rules, *_batch(cfg))
+    first, decision = _classify(cfg, rules)
     accuracy = _aggregate(cfg, [m for m, _ in pairs], first, decision).overall_accuracy
     mean_sequences = np.where(first >= 0, first, cfg.max_sequences).sum(1) / cfg.n_trials
     return [SweepPoint(method, tau, float(seq), float(acc))
@@ -412,7 +435,7 @@ def trajectory_ensemble(cfg: ExperimentConfig, n_paths: int = 100) -> EnsembleRe
     only those, so its path is the one ``run_experiment`` and ``run_trial``
     see."""
     sub = replace(cfg, n_trials=n_paths)
-    states = classify_until_stop(sub, [], *_batch(sub), keep_states=True)[2]
+    states = classify_until_stop(sub, [], *_batch(sub, 0, n_paths), keep_states=True)[2]
     # row-major paths, so that the mean adds them path by path
     paths = np.exp(np.ascontiguousarray(np.stack(states, axis=1)))
     return EnsembleResult(paths=paths, mean=paths.mean(axis=0))

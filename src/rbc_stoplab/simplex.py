@@ -193,6 +193,14 @@ class LikelihoodVector:
     def n(self) -> int:
         return self.values.size
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LikelihoodVector):
+            return NotImplemented
+        return self.values.tobytes() == other.values.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.values.tobytes())
+
 
 @dataclass(frozen=True)
 class TopTwo:

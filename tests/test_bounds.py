@@ -18,7 +18,15 @@ from rbc_stoplab.bounds import (
     stop_ratio_constant,
     verify_prop5_ordering,
 )
-from rbc_stoplab.criteria import calibrate, in_stop_region, rule_statistic, stop_cutoff
+from rbc_stoplab.criteria import (
+    calibrate,
+    in_stop_region,
+    rule_statistic,
+    stop_cutoff,
+    stop_statistic,
+)
+from rbc_stoplab.engine import EvidenceModel
+from rbc_stoplab.montecarlo import ExperimentConfig, trajectory_ensemble
 from rbc_stoplab.simplex import SimplexPoint
 
 
@@ -190,6 +198,43 @@ class TestLognormalStopProbability:
                     log_prod = s * 0.6 + 0.5 * sums[:, s - 1]
                     mc = float(np.mean(log_prod > math.log(stop_ratio_constant(q))))
                     assert abs(analytic - mc) <= 0.01
+
+
+class TestHarnessAgainstBounds:
+    """With the negative channel off (``mu_neg = c_neg = 0``) the harness
+    runs the bounds' model: only the true class gets lognormal evidence.
+    The share of its paths in the true class's stop region after ``s``
+    sequences must then match the closed form.
+
+    The bound is 5 binomial standard errors of the predicted share over
+    ``PATHS`` paths.  24 comparisons are made; at 5 standard errors a
+    correct program fails one of them with probability about 24 * 6e-7
+    under the normal approximation, and at most about 1e-4 at the grid's
+    extreme shares (0.0007 and 0.9997), where the counts are Poisson-like.
+    At the grid's central shares 5 standard errors are under 0.018, so a
+    wrong channel, cutoff or region moves the share past it.  The seed is
+    the config's default, 0, fixed before the first run.
+    """
+
+    PATHS = 20_000
+
+    @pytest.mark.parametrize("mu, c", [(0.6, 0.5), (0.3, 0.6)])
+    def test_stop_region_share_matches_the_closed_form(self, mu, c):
+        prior = sp([0.5, 0.3, 0.2])
+        cfg = ExperimentConfig(n=3, prior=prior, tau=0.7, methods=("M1",),
+                               model=EvidenceModel(mu, c, 0.0, 0.0), max_sequences=10)
+        paths = trajectory_ensemble(cfg, n_paths=self.PATHS).paths
+        for s in (1, 5, 10):
+            log_state = np.log(paths[:, s])
+            leads = log_state.argmax(1) == 0
+            for tau in (0.7, 0.9):
+                for kind in ("M1", "MP"):
+                    rule = calibrate(kind, tau, 3)
+                    share = np.mean(leads & in_stop_region(rule, stop_statistic(rule, log_state)))
+                    predicted = stop_probability_lognormal(
+                        BoundQuery(prior, 0, 1, tau, mu=mu, c=c, s=s, rule_kind=kind))
+                    se = math.sqrt(predicted * (1.0 - predicted) / self.PATHS)
+                    assert abs(share - predicted) <= 5.0 * se, (s, tau, kind, share, predicted)
 
 
 class TestFalseStopProbability:

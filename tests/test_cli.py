@@ -104,6 +104,25 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(blocker) in err
 
+    @pytest.mark.parametrize("trials", [10**12, 10**30])
+    @pytest.mark.parametrize("command", ["table", "simulate", "sweep"])
+    def test_trials_beyond_memory_exit_code(self, tmp_path, capsys, command, trials):
+        # the stop records are allocated before any trial runs, and numpy
+        # refuses them without allocating
+        out = tmp_path / "out"
+        path = write_config(tmp_path, GOOD_CONFIG.replace("trials = 200", f"trials = {trials}")
+                            + f"out_dir = {out}\n")
+        argv = {"simulate": ["simulate", path],
+                "sweep": ["sweep", path, "--tau-list", "0.7,0.8"],
+                "table": ["table", "T2", "--trials", str(trials), "--out-dir", str(out)]}
+        rc = main(argv[command])
+        assert rc == 2
+        err = capsys.readouterr().err
+        name = "--trials" if command == "table" else "key 'trials'"
+        assert err.startswith(f"error: {name}: ") and str(trials) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("mu_pos", "nan"), ("c_pos", "inf"),
                                             ("mu_neg", "-inf"), ("c_neg", "nan")])
     @pytest.mark.parametrize("command", ["simulate", "bounds"])

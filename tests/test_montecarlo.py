@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rbc_stoplab import engine
+from rbc_stoplab import engine, montecarlo
 from rbc_stoplab.criteria import FAMILIES, CriterionState, calibrate, should_stop
 from rbc_stoplab.engine import (
     CHUNK,
@@ -288,7 +288,8 @@ class TestHarnessMatchesEngine:
                            n_trials=300, max_sequences=20)
         rule = calibrate("M1", cfg.tau, cfg.n)
         kept = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths
-        first, _, states = classify_until_stop(cfg, [rule], *_batch(cfg), keep_states=True)
+        first, _, states = classify_until_stop(cfg, [rule], *_batch(cfg, 0, cfg.n_trials),
+                                              keep_states=True)
         sizes = [len(state) for state in states]
         # a state s was updated with step (s - 1) % CHUNK of its chunk
         assert any(sizes[s] < sizes[s - 1] for s in range(2, len(sizes)) if (s - 1) % CHUNK)
@@ -315,7 +316,8 @@ class TestHarnessMatchesEngine:
         rules = [calibrate(m, cfg.tau, cfg.n) for m in cfg.methods]
         res = run_experiment(cfg)
         kept = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths
-        first, _, states = classify_until_stop(cfg, rules, *_batch(cfg), keep_states=True)
+        first, _, states = classify_until_stop(cfg, rules, *_batch(cfg, 0, cfg.n_trials),
+                                              keep_states=True)
         np.testing.assert_array_equal(first, res.first_stop)
         # state s + 1 is the first without the trials that left at state s
         left = {(s - 1) % CHUNK for s in range(1, len(states) - 1)
@@ -400,6 +402,29 @@ class TestBlockStreams:
         large = run_experiment(small_config(n_trials=2100, **base))
         np.testing.assert_array_equal(small.first_stop, large.first_stop[:, :1030])
         np.testing.assert_array_equal(small.stop_correct, large.stop_correct[:, :1030])
+
+    def test_slices_give_the_records_of_one_batch(self, monkeypatch):
+        # 9,000 trials run as three slices of 3,000 that straddle block
+        # boundaries; every record, matrix and sweep point equals that of
+        # one call over all 9,000 trials bit for bit, M5's included
+        cfg = small_config(n=10, prior=RandomRemainder(0.1), tau=0.85, methods=FAMILIES,
+                           model=EvidenceModel(0.8, 0.5, -0.3, 0.5), scheme=TopN(3),
+                           n_trials=9000, max_sequences=20)
+        taus = [0.7, 0.85]
+        sizes = []
+
+        def spy(cfg, rules, log_priors, *args):
+            sizes.append(len(log_priors))
+            return classify_until_stop(cfg, rules, log_priors, *args)
+        monkeypatch.setattr(montecarlo, "classify_until_stop", spy)
+        sliced = run_experiment(cfg), speed_accuracy_sweep(cfg, taus, include_m5=True)
+        assert sizes == [3000] * 6
+        monkeypatch.setattr(montecarlo, "SLICE", cfg.n_trials)
+        whole = run_experiment(cfg), speed_accuracy_sweep(cfg, taus, include_m5=True)
+        assert sizes[6:] == [9000] * 2
+        for name in ("first_stop", "stop_correct", "p_stop", "p_true_given_stop"):
+            assert getattr(sliced[0], name).tobytes() == getattr(whole[0], name).tobytes(), name
+        assert sliced[1] == whole[1]
 
     def test_random_prior_reads_row_0(self):
         # the non-true masses are the first n - 1 uniforms of the trial's row-0 cell

@@ -77,6 +77,15 @@ class TestConstruction:
         assert sp([0.5, 0.5]) != sp([0.5, 0.5, 0.0])
         assert a != p and a != a.log_probs.tobytes()
 
+    def test_likelihood_vector_equality_is_bitwise_and_hash_agrees(self):
+        a, b = LikelihoodVector(np.ones(3)), LikelihoodVector(np.ones(3))
+        assert a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert a == LikelihoodVector.neutral(3) != LikelihoodVector.neutral(2)
+        # one ulp apart is other evidence
+        assert LikelihoodVector(np.nextafter(np.ones(3), 2.0)) != a
+        assert a != [1.0, 1.0, 1.0] and a != a.values.tobytes()
+
     def test_likelihood_vector_strictly_positive(self):
         with pytest.raises(ValueError):
             LikelihoodVector(np.array([1.0, 0.0]))
