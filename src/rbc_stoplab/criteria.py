@@ -171,12 +171,18 @@ def stop_cutoff(rule: StoppingRule) -> float:
     return 1.0 - rule.threshold if rule.family == "MP" else rule.threshold
 
 
+def stop_test(rule: StoppingRule) -> tuple[np.ufunc, float]:
+    """The rule's strict stop test as a comparison and a cutoff: a statistic
+    ``x`` lies in the stop region when ``compare(x, cutoff)``.  Confidence
+    and gap rules stop above the cutoff, entropy and KL rules below it."""
+    compare = np.greater if rule.family in ("M1", "M1bar", "MP") else np.less
+    return compare, stop_cutoff(rule)
+
+
 def in_stop_region(rule: StoppingRule, statistic):
-    """Strict stop test: confidence and gap rules stop above the cutoff,
-    entropy and KL rules below it."""
-    if rule.family in ("M1", "M1bar", "MP"):
-        return statistic > stop_cutoff(rule)
-    return statistic < stop_cutoff(rule)
+    """Whether ``statistic`` lies in the rule's stop region (:func:`stop_test`)."""
+    compare, cutoff = stop_test(rule)
+    return compare(statistic, cutoff)
 
 
 def rule_statistic(rule: StoppingRule, p: SimplexPoint) -> float:

@@ -25,12 +25,13 @@ and of how many rows a trial reads.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # should_stop and oplus are unused here, but bench/tracer.py instruments them
-from .criteria import StoppingRule, in_stop_region, should_stop, stop_statistic  # noqa: F401
+from .criteria import StoppingRule, should_stop, stop_statistic, stop_test  # noqa: F401
 from .simplex import SimplexPoint, _normalize_log_weights, oplus  # noqa: F401
 
 __all__ = [
@@ -204,6 +205,25 @@ def trial_stream(master_seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
+@functools.lru_cache(maxsize=16)
+def _thread_stream(thread: int, master_seed: int, block: int) -> np.random.Generator:
+    """The stream of block ``block`` that :func:`run_trial` reuses across its
+    calls in thread ``thread``.  :func:`read_cells` positions a stream before
+    every read, so a used stream reads as a fresh one.  Threads do not share
+    a stream: another thread's read between a positioning and its read
+    would move it."""
+    return trial_stream(master_seed, block)
+
+
+@functools.lru_cache(maxsize=64)
+def _log_prior(prior: SimplexPoint) -> np.ndarray:
+    """The prior's log weights as :func:`classify_until_stop` takes them:
+    ``(1, n)``, normalized once more as a batch of one, and read-only."""
+    logp = _normalize_log_weights(prior.log_probs[None])
+    logp.flags.writeable = False
+    return logp
+
+
 def read_cells(streams: dict, trials: np.ndarray, row: int, n: int) -> np.ndarray:
     """Uniforms ``(T, CHUNK, w)`` of cell row ``row`` for the sorted trial
     indices ``trials``, ``w`` being ``n`` rounded up to a multiple of 4;
@@ -242,9 +262,15 @@ def read_cells(streams: dict, trials: np.ndarray, row: int, n: int) -> np.ndarra
 def _polar(streams: dict, trials: np.ndarray, chunk: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Box-Muller radii and angles ``(CHUNK / 2, n, T)``, class-major, of
     chunk ``chunk`` of ``trials``: a cell's first ``CHUNK / 2`` sequences give
-    radii (of ``1 - u``, never 0), its last ones angles, from ``n`` columns."""
+    radii (of ``1 - u``, never 0), its last ones angles, from ``n`` columns,
+    each made in place of its uniforms."""
     u = read_cells(streams, trials, chunk + 1, n)[..., :n].transpose(1, 2, 0).copy()
-    return np.sqrt(-2.0 * np.log1p(-u[:CHUNK // 2])), 2.0 * np.pi * u[CHUNK // 2:]
+    radius, angle = u[:CHUNK // 2], u[CHUNK // 2:]
+    np.log1p(np.negative(radius, out=radius), out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    return radius, angle
 
 
 def _half_normals(polar: tuple, half: int, live: np.ndarray | None = None) -> np.ndarray:
@@ -283,6 +309,18 @@ def resolve_queried(scheme: QueryScheme, probs: np.ndarray) -> np.ndarray:
     return (-probs).argsort(-1, kind="stable").argsort(-1) < scheme.n_queries
 
 
+def _evidence(model: EvidenceModel, true_index: int, z: np.ndarray) -> np.ndarray:
+    """Log evidence of every class, made in place of the standard normals
+    ``z`` of shape ``(..., n)``: the true class reads the positive channel,
+    the others the negative one."""
+    true = z[..., true_index] * model.c_pos
+    true += model.mu_pos
+    z *= model.c_neg
+    z += model.mu_neg
+    z[..., true_index] = true
+    return z
+
+
 def log_evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
                  queried: np.ndarray | None = None) -> np.ndarray:
     """Log evidence from standard normals ``z`` of shape ``(..., n)``.
@@ -291,8 +329,7 @@ def log_evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
     classes the negative one, and unqueried classes get exactly 0;
     ``queried`` None queries every class.
     """
-    log_e = model.mu_neg + model.c_neg * z
-    log_e[..., true_index] = model.mu_pos + model.c_pos * z[..., true_index]
+    log_e = _evidence(model, true_index, np.array(z, dtype=float))
     if queried is not None:
         log_e[~queried] = 0.0
     return log_e
@@ -304,19 +341,24 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
 
     ``cfg`` (a :class:`TrialConfig` or an experiment config) supplies the
     model, true class, scheme, ``max_sequences`` and ``check_prior``;
-    ``log_priors`` holds each trial's prior log weights ``(T, n)``,
-    ``trials`` its sorted trial indices and ``streams`` the stream of each
-    of their blocks.  Each chunk's Box-Muller radii and angles give the
-    cosines of its first half for the whole batch, and the sines of its
-    second half for the trials still in it.
+    ``log_priors`` holds each trial's normalized prior log weights
+    ``(T, n)``, class-major, which the loop reads but never writes (see
+    ``montecarlo._batch`` and :func:`run_trial`); ``trials`` holds the
+    sorted trial indices and ``streams`` the stream of each of their
+    blocks.  Each chunk's Box-Muller radii and angles are made in place of
+    its uniforms and give the cosines of its first half for the whole
+    batch, and the sines of its second half for the trials still in it.
+    Each half's log evidence is made once, in place of its normals; a
+    step's unqueried cells are zeroed as the step reads them.
 
     Each sequence updates every trial in the log domain and tests every
     rule on the new states (and on the priors with ``check_prior``).
     Each distinct statistic (``StoppingRule.statistic_key``) is computed
-    once per sequence; M5 compares with the state of its previous
+    once per sequence and compared into each rule's row of one hit mask
+    (``criteria.stop_test``); M5 compares with the state of its previous
     evaluation.  A trial leaves the batch once every rule has stopped it.
 
-    The batch is held class-major: the states and each sequence's normals
+    The batch is held class-major: the states and each sequence's evidence
     are ``(T, n)`` arrays in Fortran order, so every reduction over the
     classes runs as ``n`` vector passes over the trials.
 
@@ -329,11 +371,13 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     first, decision = np.full((2, len(rules), t_count), -1)
     rows = np.arange(t_count)
     pending = first < 0
+    hits = np.empty(pending.shape, bool)
     keys = [rule.statistic_key for rule in rules]
     plan = dict(zip(keys, rules))
-    logp = _normalize_log_weights(np.asfortranarray(log_priors))
-    # live: the columns of the normals z that belong to the batch's trials,
-    # None while all of them do
+    tests = [(key, *stop_test(rule)) for key, rule in zip(keys, rules)]
+    logp = log_priors
+    # live: the trial columns of the evidence that belong to the batch's
+    # trials, None while all of them do
     previous = live = None
     states = [logp] if keep_states else None
     for s in range(cfg.max_sequences + 1):
@@ -341,23 +385,25 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
             chunk, step = divmod(s - 1, CHUNK)
             half, step = divmod(step, CHUNK // 2)
             if not step:
-                z = None  # spent: freed before the next normals are made
+                evidence = None  # spent: freed before the next is made
                 if not half:
                     polar, live = _polar(streams, trials, chunk, n), None
                 # a chunk's second half only for the trials still in the batch
-                z, live = _half_normals(polar, half, live), None
-            queried = (None if isinstance(cfg.scheme, Broadcast)
-                       else resolve_queried(cfg.scheme, np.exp(logp)))
-            z_s = z[step] if live is None else z[step].take(live, 1)
-            log_e = log_evidence(cfg.model, cfg.true_index, z_s.T, queried)
+                evidence, live = _half_normals(polar, half, live), None
+                _evidence(cfg.model, cfg.true_index, evidence.transpose(0, 2, 1))
+            log_e = (evidence[step] if live is None else evidence[step].take(live, 1)).T
+            if not isinstance(cfg.scheme, Broadcast):
+                # only this step reads its cells, so they take its zeros in place
+                log_e[~resolve_queried(cfg.scheme, np.exp(logp))] = 0.0
             logp = _normalize_log_weights(logp + log_e)
             if keep_states:
                 states.append(logp)
         if not rules or not (s or cfg.check_prior):
             continue
         statistics = {key: stop_statistic(rule, logp, previous) for key, rule in plan.items()}
-        hits = pending & np.array([in_stop_region(rule, statistics[key])
-                                   for rule, key in zip(rules, keys)])
+        for hit, (key, compare, cutoff) in zip(hits, tests):
+            compare(statistics[key], cutoff, out=hit)
+        hits &= pending
         previous = logp
         # count_nonzero and take cost a batch of one least
         if not np.count_nonzero(hits):
@@ -370,10 +416,11 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
         decision[r_new, t_new] = logp.take(stopped, 0).argmax(-1)[j]
         pending ^= hits
         keep = pending.any(0)
-        if not keep.any():
+        kept = np.count_nonzero(keep)
+        if not kept:
             break
-        if not keep.all():
-            rows, trials, pending = rows[keep], trials[keep], pending[:, keep]
+        if kept < len(keep):
+            rows, trials, pending, hits = rows[keep], trials[keep], pending[:, keep], hits[:, :kept]
             live = keep.nonzero()[0] if live is None else live[keep]
             # indexing would return the kept states row-major
             logp = previous = logp.T.compress(keep, 1).T
@@ -389,12 +436,16 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     with lowest-index tie-break; reaching ``max_sequences`` without a stop
     censors the trial.  The outcome's path holds the loop's own states, so
     they equal the harness's states for the same trial bit for bit.
+
+    Each thread reuses its stream of a ``(seed, block)`` across calls, and
+    each prior is normalized for the loop once; both are kept in small
+    bounded caches.
     """
     block = config.trial_index // BLOCK
     first, decision, states = classify_until_stop(
-        config, (config.rule,), config.prior.log_probs[None],
-        {block: trial_stream(config.seed, block)}, np.array([config.trial_index]),
-        keep_states=True)
+        config, (config.rule,), _log_prior(config.prior),
+        {block: _thread_stream(threading.get_ident(), config.seed, block)},
+        np.array([config.trial_index]), keep_states=True)
     path = np.concatenate(states)
     path.flags.writeable = False
     if first[0, 0] < 0:

@@ -36,11 +36,12 @@ from .engine import (
     EvidenceModel,
     QueryScheme,
     TrialConfig,
+    _log_prior,
     classify_until_stop,
     read_cells,
     trial_stream,
 )
-from .simplex import SimplexPoint
+from .simplex import SimplexPoint, _normalize_log_weights
 
 __all__ = [
     "RandomRemainder",
@@ -146,19 +147,25 @@ class ExperimentResult:
 
 
 def _batch(cfg: ExperimentConfig, lo: int, hi: int) -> tuple[np.ndarray, dict, np.ndarray]:
-    """Prior log weights ``(hi - lo, n)``, the random stream of every block
-    they touch and the trial indices, for trials ``lo`` to ``hi - 1`` of
-    ``cfg``."""
+    """Normalized prior log weights ``(hi - lo, n)``, class-major, the random
+    stream of every block they touch and the trial indices, for trials
+    ``lo`` to ``hi - 1`` of ``cfg``: the input of :func:`classify_until_stop`.
+
+    A fixed prior is normalized once, as ``run_trial`` normalizes it, and
+    tiled; random priors are normalized as one class-major batch.
+    """
     trials = np.arange(lo, hi)
     streams = {block: trial_stream(cfg.master_seed, block)
                for block in range(lo // BLOCK, -(-hi // BLOCK))}
     if isinstance(cfg.prior, SimplexPoint):
-        return np.tile(cfg.prior.log_probs, (hi - lo, 1)), streams, trials
+        logp = np.empty((hi - lo, cfg.n), order="F")
+        logp[:] = _log_prior(cfg.prior)
+        return logp, streams, trials
     raw = read_cells(streams, trials, 0, cfg.n).reshape(hi - lo, -1)[:, :cfg.n - 1]
-    p = np.full((hi - lo, cfg.n), cfg.prior.true_mass)
+    p = np.full((hi - lo, cfg.n), cfg.prior.true_mass, order="F")
     p[:, np.arange(cfg.n) != cfg.true_index] = ((1.0 - cfg.prior.true_mass) * raw
                                                 / raw.sum(1)[:, None])
-    return np.log(p), streams, trials
+    return _normalize_log_weights(np.log(p)), streams, trials
 
 
 def _classify(cfg: ExperimentConfig, rules) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from rbc_stoplab.criteria import (
     stop_statistic,
 )
 from rbc_stoplab.engine import EvidenceModel
-from rbc_stoplab.montecarlo import ExperimentConfig, trajectory_ensemble
+from rbc_stoplab.montecarlo import ExperimentConfig, run_experiment, trajectory_ensemble
 from rbc_stoplab.simplex import SimplexPoint
 
 
@@ -235,6 +235,44 @@ class TestHarnessAgainstBounds:
                         BoundQuery(prior, 0, 1, tau, mu=mu, c=c, s=s, rule_kind=kind))
                     se = math.sqrt(predicted * (1.0 - predicted) / self.PATHS)
                     assert abs(share - predicted) <= 5.0 * se, (s, tau, kind, share, predicted)
+
+    def test_constant_evidence_first_stop_is_the_closed_form(self):
+        # c = 0: every trial multiplies the true class by eps each sequence,
+        # so run_experiment's first stop is the smallest s >= 0 strictly above
+        # min_sequences_constant_evidence (0 below zero or at -inf).  The
+        # comparisons are strict: at an integer threshold m the statistic
+        # meets its cutoff at s = m in exact arithmetic, so the stop comes at
+        # m + 1, and floor(threshold) + 1 says so.  Which side of its cutoff a
+        # rounded statistic lands on would then decide the case, so the grid
+        # holds no threshold within 1e-9 of an integer, and that is asserted
+        # rather than any case dropped: all 54 are checked.  No other class
+        # starts in a stop region, and the others only shrink, so each stop is
+        # the true class's and correct.
+        priors = [[0.5, 0.28, 0.22], [0.25, 0.4, 0.35], [0.15, 0.35, 0.3, 0.2]]
+        cases = 0
+        for probs in priors:
+            prior = sp(probs)
+            competitor = 1 + int(np.argmax(probs[1:]))
+            for eps in (1.3, 2.0, 3.7):
+                for tau in (0.6, 0.75, 0.9):
+                    cfg = ExperimentConfig(n=len(probs), prior=prior, tau=tau,
+                                           methods=("M1", "MP"),
+                                           model=EvidenceModel(math.log(eps), 0.0, 0.0, 0.0),
+                                           n_trials=1, max_sequences=40)
+                    result = run_experiment(cfg)
+                    for row, kind in enumerate(cfg.methods):
+                        threshold = min_sequences_constant_evidence(
+                            BoundQuery(prior, 0, competitor, tau, rule_kind=kind), eps)
+                        case = (probs, eps, tau, kind, threshold)
+                        if threshold < 0:
+                            expected = 0
+                        else:
+                            assert abs(threshold - round(threshold)) > 1e-9, case
+                            expected = math.floor(threshold) + 1
+                        assert result.first_stop[row, 0] == expected, case
+                        assert result.stop_correct[row, 0], case
+                        cases += 1
+        assert cases == 54
 
 
 class TestFalseStopProbability:

@@ -1,7 +1,10 @@
 """Trial loop: evidence sampling, determinism, stop/censor behavior."""
 
+import gc
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -348,6 +351,68 @@ class TestRunTrial:
                 out = run_trial(cfg)
                 assert out.stopped_at == math.floor(shat) + 1
                 cases += 1
+
+
+class TestStreamReuse:
+    """``run_trial`` reuses a thread's stream of a block across calls, and
+    a prior's normalized log weights across calls."""
+
+    @staticmethod
+    def configs(seed, count):
+        return [TrialConfig(prior=sp([0.42, 0.55, 0.03]), true_index=0,
+                            rule=calibrate("M1", 0.95, 3), model=NOISY, scheme=TopN(2),
+                            max_sequences=20, seed=seed, trial_index=t)
+                for t in range(count)]
+
+    def test_threads_calling_at_once_give_the_serial_outcomes(self):
+        # four threads over interleaved trials of one (seed, block); a stream
+        # shared between threads is moved by one between another's
+        # positioning and its read, which a short switch interval provokes
+        configs = self.configs(seed=31, count=240)
+        serial = [run_trial(c) for c in configs]
+        workers, rounds = 4, 3
+        results = {}
+        start = threading.Barrier(workers)
+
+        def work(k):
+            start.wait(timeout=30)
+            results[k] = [run_trial(c) for _ in range(rounds) for c in configs[k::workers]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(workers):
+            assert results[k] == serial[k::workers] * rounds, k
+
+    def test_trial_stream_still_starts_at_counter_0(self):
+        seed, block = 17, 1
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, block], np.uint64)))
+        expected = fresh.random(64)
+        run_trial(replace(self.configs(seed, 1)[0], trial_index=BLOCK + 5))
+        np.testing.assert_array_equal(trial_stream(seed, block).random(64), expected)
+        assert trial_stream(seed, block) is not trial_stream(seed, block)
+
+    def test_caches_stay_bounded(self):
+        # streams and priors that run_trial keeps, counted among live objects
+        def live():
+            gc.collect()
+            objects = gc.get_objects()
+            return np.array([sum(isinstance(o, kind) for o in objects)
+                             for kind in (np.random.Generator, SimplexPoint)])
+
+        before = live()
+        for seed in range(1000):
+            prior = sp([1.0 + seed, 2.0, 3.0])
+            run_trial(replace(self.configs(seed, 1)[0], prior=prior, max_sequences=1))
+        assert (live() - before <= 64).all(), live() - before
 
 
 class TestTrajectoryGeometry:

@@ -344,23 +344,29 @@ class TestBatchLayout:
         # output check would notice one
         seen = []
 
-        def spy(name, parameter):
-            original = getattr(engine, name)
+        def spy(module, name, parameter, per_step=False):
+            original = getattr(module, name)
             signature = inspect.signature(original)
 
             def call(*args, **kwargs):
                 batch = signature.bind(*args, **kwargs).arguments[parameter]
-                if len(batch) > 1:
-                    seen.append((name, batch.shape, batch.flags.f_contiguous))
+                # a half-chunk's evidence is built at once, one (T, n) step a row
+                for step in (batch if per_step else [batch]):
+                    if len(step) > 1:
+                        seen.append((f"{module.__name__.rsplit('.', 1)[1]}.{name}",
+                                     step.shape, step.flags.f_contiguous))
                 return original(*args, **kwargs)
-            monkeypatch.setattr(engine, name, call)
+            monkeypatch.setattr(module, name, call)
 
-        spy("_normalize_log_weights", "logw")
-        spy("log_evidence", "z")
-        spy("stop_statistic", "log_probs")
-        run_experiment(table_config("T3", n_trials=2000))
-        assert {name for name, _, _ in seen} == {"_normalize_log_weights", "log_evidence",
-                                                 "stop_statistic"}
+        spy(montecarlo, "_normalize_log_weights", "logw")  # the random priors of _batch
+        spy(engine, "_normalize_log_weights", "logw")
+        spy(engine, "_evidence", "z", per_step=True)
+        spy(engine, "stop_statistic", "log_probs")
+        for table in ("T3", "T4"):
+            run_experiment(table_config(table, n_trials=2000))
+        assert {name for name, _, _ in seen} == {
+            "montecarlo._normalize_log_weights", "engine._normalize_log_weights",
+            "engine._evidence", "engine.stop_statistic"}
         assert all(shape[1] == 10 for _, shape, _ in seen)
         assert [entry for entry in seen if not entry[2]] == []
 
