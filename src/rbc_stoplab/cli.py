@@ -198,6 +198,14 @@ def _hold_trials(name: str, n_trials: int, run, *args):
                           f"memory ({exc})") from None
 
 
+def _option_error(exc: ValueError, options: dict[str, str]) -> ConfigError:
+    """``exc`` as a config error that names what the user typed: a message
+    that starts with a parameter in ``options`` is prefixed with the option
+    or key that set it."""
+    param = str(exc).split(" ", 1)[0]
+    return ConfigError(f"{options[param]}: {exc}" if param in options else str(exc))
+
+
 def write_outputs(out_dir: str, manifest: dict, csvs=(), result=None,
                   comparison=None) -> None:
     """Create ``out_dir``, write a run's CSVs, then its ``manifest.txt``,
@@ -244,11 +252,15 @@ def _cmd_table(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, resolved = build_experiment_config(parse_config_file(args.config, "tau_list"))
+    name = "--tau-list" if args.tau_list is not None else "key 'tau_list'"
     try:
         taus = [float(t) for t in _own_option(args, resolved, "tau_list").split(",")]
     except ValueError:
-        raise ConfigError("--tau-list must be comma-separated numbers") from None
-    points = _hold_trials("key 'trials'", cfg.n_trials, speed_accuracy_sweep, cfg, taus)
+        raise ConfigError(f"{name} must be comma-separated numbers") from None
+    try:
+        points = _hold_trials("key 'trials'", cfg.n_trials, speed_accuracy_sweep, cfg, taus)
+    except ValueError as exc:
+        raise _option_error(exc, {"tau": name}) from None
     write_outputs(resolved["out_dir"], resolved, [(
         "sweep.csv", ["method", "tau", "mean_sequences", "mean_accuracy"],
         ([p.method, p.tau, p.mean_sequences, p.mean_accuracy] for p in points))])
@@ -309,7 +321,10 @@ def _cmd_boundary(args) -> int:
         raise ConfigError(f"method must be one of {[m for m in FAMILIES if m != 'M5']}")
     if args.resolution < 3:
         raise ConfigError(f"--resolution must be at least 3, got {args.resolution}")
-    rule = calibrate(args.method, args.tau, 3)
+    try:
+        rule = calibrate(args.method, args.tau, 3)
+    except ValueError as exc:
+        raise _option_error(exc, {"tau": "--tau"}) from None
     points = boundary_sample(rule, args.resolution)
     name = f"boundary_{args.method}.csv"
     write_outputs(args.out_dir, {"method": args.method, "tau": args.tau,
@@ -320,8 +335,12 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_letters(args) -> int:
-    value = letters_projection(args.acc, args.eseq, total_letters=args.total,
-                               literal=args.literal_pseudocode)
+    try:
+        value = letters_projection(args.acc, args.eseq, total_letters=args.total,
+                                   literal=args.literal_pseudocode)
+    except ValueError as exc:
+        raise _option_error(exc, {"acc": "--acc", "e_seq": "--eseq",
+                                  "total_letters": "--total"}) from None
     print(format(value, ".10g"))
     return 0
 

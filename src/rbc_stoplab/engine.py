@@ -362,13 +362,16 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     are ``(T, n)`` arrays in Fortran order, so every reduction over the
     classes runs as ``n`` vector passes over the trials.
 
-    Returns ``first`` and ``decision`` ``(R, T)``: each rule's first stop
-    and argmax decision there, -1 if it never stopped.  ``keep_states``
-    also returns the log states, one ``(T_s, n)`` array per state for the
-    trials still in the batch; with no rules, that is every trial.
+    Returns ``first`` and ``correct`` ``(R, T)``: each rule's first stop,
+    -1 if it never stopped, and whether the argmax decision there (lowest
+    index on ties) is the true class, False if it never stopped.
+    ``keep_states`` also returns the log states, one ``(T_s, n)`` array per
+    state for the trials still in the batch; with no rules, that is every
+    trial.
     """
     t_count, n = log_priors.shape
-    first, decision = np.full((2, len(rules), t_count), -1)
+    first = np.full((len(rules), t_count), -1)
+    correct = np.zeros(first.shape, bool)
     rows = np.arange(t_count)
     pending = first < 0
     hits = np.empty(pending.shape, bool)
@@ -385,8 +388,11 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
             chunk, step = divmod(s - 1, CHUNK)
             half, step = divmod(step, CHUNK // 2)
             if not step:
-                evidence = None  # spent: freed before the next is made
+                # spent evidence, and at a new chunk the spent polar, are
+                # freed before the next is made
+                evidence = None
                 if not half:
+                    polar = None
                     polar, live = _polar(streams, trials, chunk, n), None
                 # a chunk's second half only for the trials still in the batch
                 evidence, live = _half_normals(polar, half, live), None
@@ -413,7 +419,7 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
         j, r_new = np.divmod(hits.T.take(stopped, 0).ravel().nonzero()[0], len(rules))
         t_new = rows[stopped[j]]
         first[r_new, t_new] = s
-        decision[r_new, t_new] = logp.take(stopped, 0).argmax(-1)[j]
+        correct[r_new, t_new] = (logp.take(stopped, 0).argmax(-1) == cfg.true_index)[j]
         pending ^= hits
         keep = pending.any(0)
         kept = np.count_nonzero(keep)
@@ -424,7 +430,7 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
             live = keep.nonzero()[0] if live is None else live[keep]
             # indexing would return the kept states row-major
             logp = previous = logp.T.compress(keep, 1).T
-    return first, decision, states
+    return first, correct, states
 
 
 def run_trial(config: TrialConfig) -> TrialOutcome:
@@ -435,14 +441,16 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     after every update.  On stop, the decision is the posterior argmax
     with lowest-index tie-break; reaching ``max_sequences`` without a stop
     censors the trial.  The outcome's path holds the loop's own states, so
-    they equal the harness's states for the same trial bit for bit.
+    they equal the harness's states for the same trial bit for bit; the
+    decision is read off the path's row at the stop, the state on which the
+    loop tested it.
 
     Each thread reuses its stream of a ``(seed, block)`` across calls, and
     each prior is normalized for the loop once; both are kept in small
     bounded caches.
     """
     block = config.trial_index // BLOCK
-    first, decision, states = classify_until_stop(
+    first, _, states = classify_until_stop(
         config, (config.rule,), _log_prior(config.prior),
         {block: _thread_stream(threading.get_ident(), config.seed, block)},
         np.array([config.trial_index]), keep_states=True)
@@ -450,5 +458,6 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     path.flags.writeable = False
     if first[0, 0] < 0:
         return TrialOutcome(None, None, None, path)
-    stopped_at, choice = int(first[0, 0]), int(decision[0, 0])
+    stopped_at = int(first[0, 0])
+    choice = int(path[stopped_at].argmax())
     return TrialOutcome(stopped_at, choice, choice == config.true_index, path)

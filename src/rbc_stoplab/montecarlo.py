@@ -168,40 +168,48 @@ def _batch(cfg: ExperimentConfig, lo: int, hi: int) -> tuple[np.ndarray, dict, n
     return _normalize_log_weights(np.log(p)), streams, trials
 
 
-def _classify(cfg: ExperimentConfig, rules) -> tuple[np.ndarray, np.ndarray]:
-    """Each rule's first stop and decision ``(R, T)`` over every trial of
-    ``cfg``, as one :func:`classify_until_stop` call over all of them gives.
+def _classify(cfg: ExperimentConfig, rules) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each rule's first stop and correctness ``(R, T)`` over every trial of
+    ``cfg``, as one :func:`classify_until_stop` call over all of them gives,
+    and their :func:`_tally`.
 
     The trials run in the fewest equal slices of at most ``SLICE``; each
     trial reads its own cells and carries its own state, so slicing moves
-    no bit, and only the stop records grow with ``n_trials``.  They are
-    allocated before any trial runs.
+    no bit.  Each slice is tallied as it finishes, so only the stop records
+    grow with ``n_trials``: 9 bytes per trial and rule.  They are allocated
+    before any trial runs.
     """
     try:
-        first, decision = np.empty((2, len(rules), cfg.n_trials), dtype=int)
+        first = np.empty((len(rules), cfg.n_trials), dtype=int)
+        correct = np.empty(first.shape, dtype=bool)
     except ValueError as exc:  # numpy's answer to a size past the address space
         raise MemoryError(str(exc)) from None
+    tally = np.zeros((2, len(rules), cfg.max_sequences + 2), dtype=int)
     count = -(-cfg.n_trials // SLICE)
     edges = [cfg.n_trials * k // count for k in range(count + 1)]
     for lo, hi in zip(edges, edges[1:]):
-        first[:, lo:hi], decision[:, lo:hi], _ = classify_until_stop(cfg, rules,
-                                                                     *_batch(cfg, lo, hi))
-    return first, decision
+        first[:, lo:hi], correct[:, lo:hi], _ = classify_until_stop(cfg, rules,
+                                                                    *_batch(cfg, lo, hi))
+        tally += _tally(first[:, lo:hi], correct[:, lo:hi], tally.shape[2])
+    return first, correct, tally
 
 
-def _aggregate(cfg: ExperimentConfig, methods, first: np.ndarray,
-               decision: np.ndarray) -> ExperimentResult:
-    """The result matrices from each rule's first stops and decisions
-    ``(R, T)``, one row per rule."""
-    correct = (decision == cfg.true_index) & (first >= 0)
-    rows, width = first.shape[0], cfg.max_sequences + 2
-    # bin 0 of each rule takes its censored trials (first = -1), bins 1..
-    # its stops at sequences 0..max_sequences; a stop on the bare prior
-    # counts toward the first column
+def _tally(first: np.ndarray, correct: np.ndarray, width: int) -> np.ndarray:
+    """Per rule of the stop records ``(R, T)``, the count of trials censored
+    (bin 0) or stopped at sequence ``s`` (bin ``s + 1``), then the same count
+    of correct stops: ``(2, R, width)``."""
+    rows = len(first)
     bins = (first + 1 + width * np.arange(rows)[:, None]).ravel()
-    stopped_by, correct_by = (
-        np.bincount(b, minlength=rows * width).reshape(rows, width)[:, 1:].cumsum(1)[:, 1:]
-        for b in (bins, bins[correct.ravel()]))
+    return np.stack([np.bincount(b, minlength=rows * width)
+                     for b in (bins, bins[correct.ravel()])]).reshape(2, rows, width)
+
+
+def _aggregate(cfg: ExperimentConfig, methods, first: np.ndarray, correct: np.ndarray,
+               tally: np.ndarray) -> ExperimentResult:
+    """The result matrices from :func:`_classify`'s tally, one row per rule,
+    holding its stop records ``first`` and ``correct``."""
+    # a stop on the bare prior counts toward the first column
+    stopped_by, correct_by = tally[:, :, 1:].cumsum(2)[:, :, 1:]
     stopped = stopped_by[:, -1]
     p_true = np.divide(correct_by, stopped_by, out=np.zeros(stopped_by.shape),
                        where=stopped_by > 0)
@@ -210,14 +218,19 @@ def _aggregate(cfg: ExperimentConfig, methods, first: np.ndarray,
         sequences=np.arange(1, cfg.max_sequences + 1),
         p_stop=stopped_by / cfg.n_trials,
         p_true_given_stop=p_true,
-        mean_sequences_to_stop=np.divide(np.where(first >= 0, first, 0).sum(1), stopped,
-                                         out=np.full(rows, math.nan), where=stopped > 0),
+        mean_sequences_to_stop=np.divide(_stop_sums(cfg, tally), stopped,
+                                         out=np.full(len(stopped), math.nan), where=stopped > 0),
         overall_accuracy=p_true[:, -1],
         stopped_fraction=stopped / cfg.n_trials,
         n_trials=cfg.n_trials,
         first_stop=first,
         stop_correct=correct,
     )
+
+
+def _stop_sums(cfg: ExperimentConfig, tally: np.ndarray) -> np.ndarray:
+    """Each rule's sum of its stop sequences over its stopped trials."""
+    return tally[0, :, 1:] @ np.arange(cfg.max_sequences + 1)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -423,9 +436,10 @@ def speed_accuracy_sweep(cfg: ExperimentConfig, tau_list,
 
     pairs = [(method, tau) for method in methods for tau in taus]
     rules = [calibrate(method, tau, cfg.n) for method, tau in pairs]
-    first, decision = _classify(cfg, rules)
-    accuracy = _aggregate(cfg, [m for m, _ in pairs], first, decision).overall_accuracy
-    mean_sequences = np.where(first >= 0, first, cfg.max_sequences).sum(1) / cfg.n_trials
+    first, correct, tally = _classify(cfg, rules)
+    accuracy = _aggregate(cfg, [m for m, _ in pairs], first, correct, tally).overall_accuracy
+    mean_sequences = ((_stop_sums(cfg, tally) + cfg.max_sequences * tally[0, :, 0])
+                      / cfg.n_trials)
     return [SweepPoint(method, tau, float(seq), float(acc))
             for (method, tau), seq, acc in zip(pairs, mean_sequences, accuracy)]
 
@@ -459,11 +473,11 @@ def letters_projection(acc: float, e_seq: float, total_letters: int = 100,
     remainder each round, which yields a much smaller total.
     """
     if not 0.0 < acc <= 1.0:
-        raise ValueError("acc must lie in (0, 1]")
+        raise ValueError(f"acc must lie in (0, 1], got {acc}")
     if not 0.0 < e_seq < math.inf:
         raise ValueError(f"e_seq must be positive and finite, got {e_seq}")
     if total_letters < 1:
-        raise ValueError("total_letters must be at least 1")
+        raise ValueError(f"total_letters must be at least 1, got {total_letters}")
     remaining = int(total_letters)
     total = 0.0
     while remaining > 0:

@@ -200,41 +200,83 @@ class TestLognormalStopProbability:
                     assert abs(analytic - mc) <= 0.01
 
 
+def region_share(paths, s, leader, rule):
+    """Share of ``paths`` whose state after ``s`` sequences has class
+    ``leader`` in the lead and lies in ``rule``'s stop region."""
+    log_state = np.log(paths[:, s])
+    return np.mean((log_state.argmax(1) == leader)
+                   & in_stop_region(rule, stop_statistic(rule, log_state)))
+
+
 class TestHarnessAgainstBounds:
     """With the negative channel off (``mu_neg = c_neg = 0``) the harness
     runs the bounds' model: only the true class gets lognormal evidence.
     The share of its paths in the true class's stop region after ``s``
-    sequences must then match the closed form.
+    sequences, and in the competitor's, must then match the closed forms.
 
     The bound is 5 binomial standard errors of the predicted share over
-    ``PATHS`` paths.  24 comparisons are made; at 5 standard errors a
-    correct program fails one of them with probability about 24 * 6e-7
-    under the normal approximation, and at most about 1e-4 at the grid's
-    extreme shares (0.0007 and 0.9997), where the counts are Poisson-like.
-    At the grid's central shares 5 standard errors are under 0.018, so a
-    wrong channel, cutoff or region moves the share past it.  The seed is
-    the config's default, 0, fixed before the first run.
+    ``PATHS`` paths.  45 comparisons are made (36 for the true class, 9 for
+    the competitor); at 5 standard errors a correct program fails one of
+    them with probability about 45 * 6e-7 under the normal approximation,
+    and at most about 1e-4 at the grid's extreme shares (0.0007 and
+    0.9997), where the counts are Poisson-like.  At the grid's central
+    shares 5 standard errors are under 0.018, so a wrong channel, cutoff or
+    region moves the share past it.  The seed is the config's default, 0,
+    fixed before the first run.
     """
 
     PATHS = 20_000
 
-    @pytest.mark.parametrize("mu, c", [(0.6, 0.5), (0.3, 0.6)])
+    def ensemble(self, prior, mu, c, max_sequences):
+        cfg = ExperimentConfig(n=prior.n, prior=prior, tau=0.7, methods=("M1",),
+                               model=EvidenceModel(mu, c, 0.0, 0.0),
+                               max_sequences=max_sequences)
+        return trajectory_ensemble(cfg, n_paths=self.PATHS).paths
+
+    def assert_within_noise(self, share, predicted, case):
+        se = math.sqrt(predicted * (1.0 - predicted) / self.PATHS)
+        assert abs(share - predicted) <= 5.0 * se, (*case, share, predicted)
+
+    @pytest.mark.parametrize("mu, c", [(0.6, 0.5), (0.3, 0.6), (0.0, 1.0)])
     def test_stop_region_share_matches_the_closed_form(self, mu, c):
         prior = sp([0.5, 0.3, 0.2])
-        cfg = ExperimentConfig(n=3, prior=prior, tau=0.7, methods=("M1",),
-                               model=EvidenceModel(mu, c, 0.0, 0.0), max_sequences=10)
-        paths = trajectory_ensemble(cfg, n_paths=self.PATHS).paths
+        paths = self.ensemble(prior, mu, c, 10)
         for s in (1, 5, 10):
-            log_state = np.log(paths[:, s])
-            leads = log_state.argmax(1) == 0
             for tau in (0.7, 0.9):
                 for kind in ("M1", "MP"):
-                    rule = calibrate(kind, tau, 3)
-                    share = np.mean(leads & in_stop_region(rule, stop_statistic(rule, log_state)))
+                    share = region_share(paths, s, 0, calibrate(kind, tau, 3))
                     predicted = stop_probability_lognormal(
                         BoundQuery(prior, 0, 1, tau, mu=mu, c=c, s=s, rule_kind=kind))
-                    se = math.sqrt(predicted * (1.0 - predicted) / self.PATHS)
-                    assert abs(share - predicted) <= 5.0 * se, (s, tau, kind, share, predicted)
+                    self.assert_within_noise(share, predicted, (s, tau, kind))
+
+    def test_competitor_region_share_matches_the_closed_form(self):
+        # the competitor leads in its stop region only when the true class's
+        # evidence product falls below the variant's ratio k'
+        prior, tau, mu, c = sp([0.3, 0.6, 0.1]), 0.6, 0.3, 0.6
+        paths = self.ensemble(prior, mu, c, 8)
+        for s in (1, 4, 8):
+            for kind in ("M1", "MP", "M1bar"):
+                share = region_share(paths, s, 1, calibrate(kind, tau, 3))
+                predicted = false_stop_probability(
+                    BoundQuery(prior, 0, 1, tau, mu=mu, c=c, s=s), kind)
+                self.assert_within_noise(share, predicted, (s, kind))
+
+    def test_prop5_orderings_hold_on_the_harness_shares(self):
+        # calibrate nests the stop regions of M1, MP and M1bar, so the
+        # orderings verify_prop5_ordering reports of the closed forms hold
+        # path by path, and the harness's shares keep them with no noise
+        prior, tau, mu, c = sp([0.3, 0.6, 0.1]), 0.6, 0.3, 0.6
+        paths = self.ensemble(prior, mu, c, 8)
+        s_values = range(1, 9)
+        assert verify_prop5_ordering(BoundQuery(prior, 0, 1, tau, mu=mu, c=c), s_values).ok
+        for s in s_values:
+            tp_m1, tp_mp = (region_share(paths, s, 0, calibrate(kind, tau, 3))
+                            for kind in ("M1", "MP"))
+            fa_m1, fa_mp, fa_m1bar = (region_share(paths, s, 1, calibrate(kind, tau, 3))
+                                      for kind in ("M1", "MP", "M1bar"))
+            assert tp_mp >= tp_m1, (s, tp_m1, tp_mp)
+            assert fa_m1 <= fa_mp <= fa_m1bar, (s, fa_m1, fa_mp, fa_m1bar)
+            assert fa_m1bar > 0 and tp_m1 > 0, s
 
     def test_constant_evidence_first_stop_is_the_closed_form(self):
         # c = 0: every trial multiplies the true class by eps each sequence,

@@ -236,6 +236,11 @@ class TestBoundary:
     def test_rejects_unknown_method(self, capsys):
         assert main(["boundary", "M9", "--tau", "0.8"]) == 2
 
+    def test_tau_outside_domain_names_option(self, tmp_path, capsys):
+        assert main(["boundary", "M1", "--tau", "0.2", "--out-dir", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == "error: --tau: tau must lie in (1/3, 1], got 0.2\n"
+        assert not (tmp_path / "b").exists()
+
     @pytest.mark.parametrize("resolution", ["2", "-5"])
     def test_bad_resolution_names_option(self, tmp_path, capsys, resolution):
         rc = main(["boundary", "M1", "--tau", "0.8", "--resolution", resolution,
@@ -260,6 +265,17 @@ class TestLetters:
         assert main(["letters", "--acc", "0.9", "--eseq", eseq]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "e_seq" in out.err and eseq in out.err
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--acc 1.5 --eseq 10", "--acc: acc must lie in (0, 1], got 1.5"),
+        ("--acc 0.9 --eseq 0", "--eseq: e_seq must be positive and finite, got 0.0"),
+        ("--acc 0.9 --eseq 10 --total 0", "--total: total_letters must be at least 1, got 0"),
+        ("--acc 0.9 --eseq 1e308", "--eseq: e_seq = 1e+308 gives a total beyond the float range"),
+    ], ids=["acc", "eseq", "total", "eseq-overflow"])
+    def test_bad_value_names_option(self, capsys, flags, message):
+        assert main(["letters", *flags.split()]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
 
     def test_overflowing_total_is_rejected(self, capsys):
         assert main(["letters", "--acc", "0.9", "--eseq", "1e308"]) == 2
@@ -289,6 +305,19 @@ class TestSweepCommand:
             assert main(["sweep", path, "--tau-list", "0.7,0.8,0.9"]) == 0
             blobs.append(read_bytes(out_dir / "sweep.csv"))
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("given", ["flag", "key"])
+    def test_tau_outside_domain_names_option(self, tmp_path, capsys, given):
+        # every anchor is calibrated before any trial runs
+        out_dir = tmp_path / "sw"
+        cfg = GOOD_CONFIG + f"out_dir = {out_dir}\n"
+        flags = ["--tau-list", "0.7,0.2"] if given == "flag" else []
+        if given == "key":
+            cfg += "tau_list = 0.7,0.2\n"
+        assert main(["sweep", write_config(tmp_path, cfg), *flags]) == 2
+        name = "--tau-list" if given == "flag" else "key 'tau_list'"
+        assert capsys.readouterr().err == f"error: {name}: tau must lie in (1/3, 1], got 0.2\n"
+        assert not out_dir.exists()
 
     def test_tau_one_runs(self, tmp_path):
         out_dir = tmp_path / "sw"

@@ -1,6 +1,7 @@
 """Harness: aggregation semantics, determinism, serialization, projections."""
 
 import inspect
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rbc_stoplab import engine, montecarlo
-from rbc_stoplab.criteria import FAMILIES, CriterionState, calibrate, should_stop
+from rbc_stoplab.criteria import FAMILIES, CriterionState, boundary_sample, calibrate, should_stop
 from rbc_stoplab.engine import (
     CHUNK,
     Broadcast,
@@ -159,6 +160,18 @@ class TestRunExperiment:
         assert res.p_stop[0, 0] == 1.0
         # argmax of the prior is the true class here
         assert res.p_true_given_stop[0, 0] == 1.0
+
+    def test_gap_rules_stop_on_the_prior_below_one_half(self):
+        # at tau 0.4 the stop regions of MP and M1bar are the whole simplex:
+        # both stop on the uniform prior, where M1 does not, and neither has
+        # a boundary to trace.  Such anchors are accepted, so that one
+        # --tau-list can sweep every family over calibrate's domain.
+        res = run_experiment(small_config(prior=SimplexPoint.uniform(3), tau=0.4,
+                                          methods=("MP", "M1bar", "M1")))
+        assert np.all(res.p_stop[:2, 0] == 1) and np.all(res.first_stop[:2] == 0)
+        assert not np.any(res.first_stop[2] == 0)
+        for family in ("MP", "M1bar"):
+            assert boundary_sample(calibrate(family, 0.4, 3), 200) == []
 
     def test_random_remainder_prior(self):
         cfg = small_config(n=10, prior=RandomRemainder(0.1), tau=0.85,
@@ -369,6 +382,31 @@ class TestBatchLayout:
             "engine._evidence", "engine.stop_statistic"}
         assert all(shape[1] == 10 for _, shape, _ in seen)
         assert [entry for entry in seen if not entry[2]] == []
+
+
+class TestMemory:
+    def test_sweep_memory_grows_only_by_the_stop_records(self):
+        # a sweep keeps each trial's 8-byte first stop and 1-byte correctness
+        # per rule and tallies each slice as it finishes; all else is held
+        # for one slice at a time.  4,000 and 16,000 trials both run in
+        # slices of 4,000, so their traced peaks differ by the records: 9
+        # bytes per added (trial, rule), bounded by 12.  Records of int64
+        # decisions, aggregated through full-size bins, took about 22.
+        cfg = small_config(n=10, prior=table_config("T3").prior, tau=0.85, methods=FAMILIES,
+                           model=EvidenceModel(0.8, 0.5, -0.3, 0.5), scheme=TopN(3),
+                           max_sequences=40)
+        taus = [0.65, 0.69, 0.72, 0.76, 0.79, 0.83, 0.86, 0.9]
+        speed_accuracy_sweep(replace(cfg, n_trials=100), taus)  # lazy set-up, untraced
+        peaks = []
+        for trials in (4000, 16000):
+            tracemalloc.start()
+            try:
+                points = speed_accuracy_sweep(replace(cfg, n_trials=trials), taus)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(points) == 48
+        assert (peaks[1] - peaks[0]) / (12_000 * 48) <= 12.0, peaks
 
 
 class TestConfigValidation:
