@@ -26,6 +26,7 @@ from .montecarlo import (
     ExperimentConfig,
     RandomRemainder,
     TABLE_IDS,
+    TooLarge,
     comparison_to_csv,
     format_cell,
     letters_projection,
@@ -187,15 +188,17 @@ def _own_option(args, resolved: dict[str, str], key: str, default: str | None = 
     return resolved[key]
 
 
-def _hold_trials(name: str, n_trials: int, run, *args):
-    """``run(*args)``, whose only arrays that grow with the trial count are
-    the stop records; a ``MemoryError`` from them names ``name``, the option
-    or key that set the count."""
+_SIZE_KEYS = {"n_trials": "key 'trials'", "max_sequences": "key 'max_sequences'"}
+
+
+def _hold(names: dict[str, str], run, *args):
+    """``run(*args)``; an array it cannot hold (``TooLarge``) is reported
+    with the options or keys that set its size, ``names`` mapping config
+    fields to them."""
     try:
         return run(*args)
-    except MemoryError as exc:
-        raise ConfigError(f"{name}: the stop records of {n_trials} trials do not fit in "
-                          f"memory ({exc})") from None
+    except TooLarge as exc:
+        raise ConfigError(f"{' and '.join(names[field] for field in exc.fields)}: {exc}") from None
 
 
 def _option_error(exc: ValueError, options: dict[str, str]) -> ConfigError:
@@ -229,7 +232,7 @@ def write_outputs(out_dir: str, manifest: dict, csvs=(), result=None,
 
 def _cmd_simulate(args) -> int:
     cfg, resolved = build_experiment_config(parse_config_file(args.config))
-    result = _hold_trials("key 'trials'", cfg.n_trials, run_experiment, cfg)
+    result = _hold(_SIZE_KEYS, run_experiment, cfg)
     write_outputs(resolved["out_dir"], resolved, result=result)
     print(f"wrote results for {len(cfg.methods)} methods x "
           f"{cfg.max_sequences} sequences to {resolved['out_dir']}")
@@ -239,8 +242,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_table(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-    comp = _hold_trials("--trials", args.trials, reproduce_table, args.table, args.trials,
-                        args.seed)
+    comp = _hold({"n_trials": "--trials"}, reproduce_table, args.table, args.trials, args.seed)
     write_outputs(args.out_dir, {"table": args.table, "trials": args.trials, "seed": args.seed,
                                  "tolerance": comp.tolerance, "out_dir": args.out_dir},
                   result=comp.result, comparison=comp)
@@ -258,7 +260,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"{name} must be comma-separated numbers") from None
     try:
-        points = _hold_trials("key 'trials'", cfg.n_trials, speed_accuracy_sweep, cfg, taus)
+        points = _hold(_SIZE_KEYS, speed_accuracy_sweep, cfg, taus)
     except ValueError as exc:
         raise _option_error(exc, {"tau": name}) from None
     write_outputs(resolved["out_dir"], resolved, [(
@@ -353,7 +355,8 @@ def _cmd_trajectories(args) -> int:
     paths = _parse_int(resolved, "paths")
     if paths < 1:
         raise ConfigError(f"--paths must be at least 1, got {paths}")
-    ens = trajectory_ensemble(cfg, n_paths=paths)
+    ens = _hold({**_SIZE_KEYS, "n_trials": "--paths" if args.paths is not None else "key 'paths'"},
+                trajectory_ensemble, cfg, paths)
     cols = [f"p{i + 1}" for i in range(cfg.n)]
     write_outputs(resolved["out_dir"], resolved, [
         ("trajectory_mean.csv", ["s", *cols], ([s, *row] for s, row in enumerate(ens.mean))),
@@ -419,7 +422,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

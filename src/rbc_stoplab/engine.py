@@ -75,6 +75,19 @@ class EvidenceModel:
         if self.c_pos < 0 or self.c_neg < 0:
             raise ValueError("channel log-sds must be nonnegative")
 
+    def _channels(self, true_index: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-class log-sd and log-mean vectors ``(n,)``, the true class on
+        the positive channel, made once per class and width.  They are kept
+        on the model itself, not keyed by it: equal models may differ in a
+        zero's sign, which the evidence would carry."""
+        cache = self.__dict__.setdefault("_channel_vectors", {})
+        if (true_index, n) not in cache:
+            sd, mu = np.full(n, self.c_neg), np.full(n, self.mu_neg)
+            sd[true_index], mu[true_index] = self.c_pos, self.mu_pos
+            sd.flags.writeable = mu.flags.writeable = False
+            cache[true_index, n] = sd, mu
+        return cache[true_index, n]
+
 
 @dataclass(frozen=True)
 class Broadcast:
@@ -312,12 +325,10 @@ def resolve_queried(scheme: QueryScheme, probs: np.ndarray) -> np.ndarray:
 def _evidence(model: EvidenceModel, true_index: int, z: np.ndarray) -> np.ndarray:
     """Log evidence of every class, made in place of the standard normals
     ``z`` of shape ``(..., n)``: the true class reads the positive channel,
-    the others the negative one."""
-    true = z[..., true_index] * model.c_pos
-    true += model.mu_pos
-    z *= model.c_neg
-    z += model.mu_neg
-    z[..., true_index] = true
+    the others the negative one: one scale and one shift per class."""
+    sd, mu = model._channels(true_index, z.shape[-1])
+    z *= sd
+    z += mu
     return z
 
 

@@ -23,6 +23,7 @@ trials are still running.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -44,6 +45,7 @@ from .engine import (
 from .simplex import SimplexPoint, _normalize_log_weights
 
 __all__ = [
+    "TooLarge",
     "RandomRemainder",
     "ExperimentConfig",
     "ExperimentResult",
@@ -71,6 +73,25 @@ __all__ = [
 
 DEFAULT_TABLE_SEED = 20210814
 SLICE = 4 * BLOCK  # most trials that one classify_until_stop call takes
+
+
+class TooLarge(MemoryError):
+    """An array that a run allocates before its first trial does not fit in
+    memory; ``fields`` names the config fields that set its size."""
+
+    def __init__(self, fields: tuple[str, ...], what: str, reason: str) -> None:
+        super().__init__(f"{what} do not fit in memory ({reason})")
+        self.fields = fields
+
+
+@contextlib.contextmanager
+def _held(fields: tuple[str, ...], what: str):
+    """Allocations that :class:`TooLarge` reports as ``what``, sized by
+    ``fields``."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:  # ValueError: a size past the address space
+        raise TooLarge(fields, what, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -176,15 +197,15 @@ def _classify(cfg: ExperimentConfig, rules) -> tuple[np.ndarray, np.ndarray, np.
     The trials run in the fewest equal slices of at most ``SLICE``; each
     trial reads its own cells and carries its own state, so slicing moves
     no bit.  Each slice is tallied as it finishes, so only the stop records
-    grow with ``n_trials``: 9 bytes per trial and rule.  They are allocated
-    before any trial runs.
+    grow with ``n_trials``: 9 bytes per trial and rule.  They and the tally
+    are allocated before any trial runs, and raise :class:`TooLarge` if
+    they cannot be held.
     """
-    try:
+    with _held(("n_trials",), f"the stop records of {cfg.n_trials} trials"):
         first = np.empty((len(rules), cfg.n_trials), dtype=int)
         correct = np.empty(first.shape, dtype=bool)
-    except ValueError as exc:  # numpy's answer to a size past the address space
-        raise MemoryError(str(exc)) from None
-    tally = np.zeros((2, len(rules), cfg.max_sequences + 2), dtype=int)
+    with _held(("max_sequences",), f"the tallies of {cfg.max_sequences} sequences"):
+        tally = np.zeros((2, len(rules), cfg.max_sequences + 2), dtype=int)
     count = -(-cfg.n_trials // SLICE)
     edges = [cfg.n_trials * k // count for k in range(count + 1)]
     for lo, hi in zip(edges, edges[1:]):
@@ -454,11 +475,14 @@ def trajectory_ensemble(cfg: ExperimentConfig, n_paths: int = 100) -> EnsembleRe
     """Probability paths of ``n_paths`` unstopped trials from ``cfg.prior``
     plus their mean path; trial ``t`` reads the cells of trial ``t``, and
     only those, so its path is the one ``run_experiment`` and ``run_trial``
-    see."""
+    see.  The paths are allocated before any path runs, and raise
+    :class:`TooLarge` if they cannot be held."""
     sub = replace(cfg, n_trials=n_paths)
-    states = classify_until_stop(sub, [], *_batch(sub, 0, n_paths), keep_states=True)[2]
     # row-major paths, so that the mean adds them path by path
-    paths = np.exp(np.ascontiguousarray(np.stack(states, axis=1)))
+    with _held(("n_trials", "max_sequences"), f"{n_paths} paths of {cfg.max_sequences + 1} states"):
+        paths = np.empty((n_paths, cfg.max_sequences + 1, cfg.n))
+    states = classify_until_stop(sub, [], *_batch(sub, 0, n_paths), keep_states=True)[2]
+    np.exp(np.stack(states, axis=1, out=paths), out=paths)
     return EnsembleResult(paths=paths, mean=paths.mean(axis=0))
 
 

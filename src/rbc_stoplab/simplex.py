@@ -54,10 +54,16 @@ def _class_sum(x: np.ndarray) -> np.ndarray:
 
 def _normalize_log_weights(logw: np.ndarray) -> np.ndarray:
     """Shift log weights along the last axis so the implied masses sum to
-    one (log-sum-exp)."""
-    m = logw.max(-1)[..., None]
-    if not np.isfinite(m).all():
-        raise ValueError("distribution has no positive mass")
+    one (log-sum-exp).
+
+    Every row must have positive mass: a finite maximum and no ``nan`` or
+    ``+inf``.  The kernel does not check it, since it runs on every
+    sequence of every trial; :class:`SimplexPoint` checks user input once,
+    and the harness passes only rows that keep it (random priors whose
+    true class holds ``true_mass > 0``, boundary rays inside the simplex,
+    and finite evidence added to a normalized state).
+    """
+    m = np.maximum.reduce(logw, -1, keepdims=True)
     return logw - (m + np.log(_class_sum(np.exp(logw - m)))[..., None])
 
 
@@ -89,6 +95,8 @@ class SimplexPoint:
             raise ValueError("a distribution needs at least two categories")
         if np.isnan(lp).any() or np.isposinf(lp).any():
             raise ValueError("log probabilities must lie in [-inf, finite]")
+        if np.isneginf(lp).all():
+            raise ValueError("distribution has no positive mass")
         lp = _normalize_log_weights(lp)
         lp.flags.writeable = False
         object.__setattr__(self, "log_probs", lp)
@@ -109,8 +117,6 @@ class SimplexPoint:
             raise ValueError("a distribution needs at least two categories")
         if np.isnan(p).any() or np.isinf(p).any() or (p < 0).any():
             raise ValueError("masses must be finite and nonnegative")
-        if p.sum() <= 0:
-            raise ValueError("distribution has no positive mass")
         with np.errstate(divide="ignore"):
             return cls(np.log(p))
 
@@ -319,8 +325,11 @@ def renyi_bits(log_probs: np.ndarray, alpha: float) -> np.ndarray:
     log-sum-exp, so its range is safe for any ``alpha`` (``alpha = 0``
     counts the support).
     """
-    scaled = np.multiply(log_probs, alpha, out=np.full_like(log_probs, -np.inf),
-                         where=np.isfinite(log_probs))
+    if alpha > 0:
+        scaled = np.multiply(log_probs, alpha)  # a zero's -inf stays -inf
+    else:
+        scaled = np.multiply(log_probs, alpha, out=np.full_like(log_probs, -np.inf),
+                             where=np.isfinite(log_probs))
     m = scaled.max(-1)
     np.exp(np.subtract(scaled, m[..., None], out=scaled), out=scaled)
     return (m + np.log(_class_sum(scaled))) / ((1.0 - alpha) * _LOG2)

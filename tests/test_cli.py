@@ -123,6 +123,34 @@ class TestConfigParsing:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_sequences", [10**12, 10**30])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_horizon_beyond_memory_names_key(self, tmp_path, capsys, command, max_sequences):
+        # the per-sequence tallies are allocated before any trial runs; the
+        # error used to name 'trials', or no key at all past numpy's largest
+        # dimension
+        out = tmp_path / "out"
+        path = write_config(tmp_path, GOOD_CONFIG.replace(
+            "max_sequences = 8", f"max_sequences = {max_sequences}") + f"out_dir = {out}\n")
+        argv = {"simulate": ["simulate", path], "sweep": ["sweep", path, "--tau-list", "0.7,0.8"]}
+        rc = main(argv[command])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: key 'max_sequences': ") and str(max_sequences) in err
+        assert "'trials'" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_class_count_beyond_memory_exit_code(self, tmp_path, capsys):
+        # calibration allocates points of n classes, outside any named
+        # allocation; numpy refuses this one without allocating
+        text = GOOD_CONFIG.replace("n = 3", "n = 1000000000000").replace(
+            "prior = 0.42,0.55,0.03", "prior = random_remainder:0.1")
+        rc = main(["simulate", write_config(tmp_path, text + f"out_dir = {tmp_path / 'out'}\n")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("mu_pos", "nan"), ("c_pos", "inf"),
                                             ("mu_neg", "-inf"), ("c_neg", "nan")])
     @pytest.mark.parametrize("command", ["simulate", "bounds"])
@@ -373,6 +401,28 @@ class TestTrajectoriesCommand:
         assert len(mean_lines) == 1 + 9  # prior plus eight sequences
         path_lines = (out_dir / "trajectory_paths.csv").read_text().splitlines()
         assert len(path_lines) == 1 + 7 * 9
+
+    @pytest.mark.parametrize("flag_paths, cfg_paths, max_sequences, names", [
+        (10**12, None, 8, "--paths and key 'max_sequences'"),
+        (None, 10**12, 8, "key 'paths' and key 'max_sequences'"),
+        (10, None, 10**12, "--paths and key 'max_sequences'"),
+        (10, None, 10**30, "--paths and key 'max_sequences'"),
+    ])
+    def test_paths_beyond_memory_exit_code(self, tmp_path, capsys, flag_paths, cfg_paths,
+                                           max_sequences, names):
+        # the paths are allocated before any path runs, and numpy refuses
+        # these sizes without allocating; a long horizon used to run until
+        # memory ran out, many paths to end in a traceback
+        out = tmp_path / "tr"
+        text = GOOD_CONFIG.replace("max_sequences = 8", f"max_sequences = {max_sequences}")
+        text += f"out_dir = {out}\n" + (f"paths = {cfg_paths}\n" if cfg_paths else "")
+        argv = ["trajectories", write_config(tmp_path, text)]
+        rc = main(argv + (["--paths", str(flag_paths)] if flag_paths else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {names}: ") and "do not fit in memory" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("paths", ["0", "-3"])
     def test_bad_path_count_names_option(self, tmp_path, capsys, paths):

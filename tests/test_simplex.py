@@ -56,6 +56,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             sp([0.5, np.inf])
 
+    def test_huge_masses_need_no_sum(self):
+        # the mass check used to sum the masses, which overflows here
+        p = sp([1e308, 1e308, 1e308])
+        assert p.allclose(sp([1, 1, 1]))
+        with pytest.raises(ValueError, match="distribution has no positive mass"):
+            sp([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="distribution has no positive mass"):
+            SimplexPoint(np.full(4, -np.inf))
+
     def test_zero_entries_allowed(self):
         p = sp([0.8, 0.2, 0.0])
         assert p.probs[2] == 0.0
