@@ -157,7 +157,8 @@ def build_experiment_config(raw: dict[str, str]) -> tuple[ExperimentConfig, dict
         c_neg=_parse_float(resolved, "c_neg"),
     )
     try:
-        cfg = ExperimentConfig(
+        cfg = _hold(
+            {"n": "key 'n'"}, ExperimentConfig,
             n=n,
             prior=prior,
             tau=_parse_float(resolved, "tau"),
@@ -191,12 +192,12 @@ def _own_option(args, resolved: dict[str, str], key: str, default: str | None = 
 _SIZE_KEYS = {"n_trials": "key 'trials'", "max_sequences": "key 'max_sequences'"}
 
 
-def _hold(names: dict[str, str], run, *args):
-    """``run(*args)``; an array it cannot hold (``TooLarge``) is reported
-    with the options or keys that set its size, ``names`` mapping config
-    fields to them."""
+def _hold(names: dict[str, str], run, *args, **kwargs):
+    """``run(*args, **kwargs)``; an array it cannot hold (``TooLarge``) is
+    reported with the options or keys that set its size, ``names`` mapping
+    config fields to them."""
     try:
-        return run(*args)
+        return run(*args, **kwargs)
     except TooLarge as exc:
         raise ConfigError(f"{' and '.join(names[field] for field in exc.fields)}: {exc}") from None
 

@@ -58,6 +58,9 @@ def matched_lower_confidence(tau: float, n: int) -> float:
     return ((2.0 * tau - 1.0) * (n - 1) + 1.0) / n
 
 
+_SHARED = {"M1bar": "M1", "M4": "M2"}  # families that share another's statistic
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """A calibrated stopping criterion.
@@ -84,7 +87,7 @@ class StoppingRule:
     def statistic_key(self) -> tuple:
         """What :func:`stop_statistic` computes for the rule: M1 and M1bar
         both read the confidence, M2 and M4 of one order one Renyi entropy."""
-        return {"M1bar": "M1", "M4": "M2"}.get(self.family, self.family), self.alpha
+        return _SHARED.get(self.family, self.family), self.alpha
 
 
 @dataclass(frozen=True)

@@ -74,13 +74,14 @@ class EvidenceModel:
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.c_pos < 0 or self.c_neg < 0:
             raise ValueError("channel log-sds must be nonnegative")
+        self.__dict__["_channel_vectors"] = {}
 
     def _channels(self, true_index: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-class log-sd and log-mean vectors ``(n,)``, the true class on
         the positive channel, made once per class and width.  They are kept
         on the model itself, not keyed by it: equal models may differ in a
         zero's sign, which the evidence would carry."""
-        cache = self.__dict__.setdefault("_channel_vectors", {})
+        cache = self._channel_vectors
         if (true_index, n) not in cache:
             sd, mu = np.full(n, self.c_neg), np.full(n, self.mu_neg)
             sd[true_index], mu[true_index] = self.c_pos, self.mu_pos
@@ -190,13 +191,17 @@ class TrialOutcome:
 
 
 @functools.cache
-def _key_seed() -> type:
-    """The seed type through which ``Philox`` takes its key as given.
+def _keyed_philox() -> type:
+    """The ``Philox`` type of a block stream: keyed as given, and holding
+    the state through which :func:`read_cells` positions it.
 
     ``Philox(key=...)`` would first gather OS entropy for a seed sequence
     it does not use, which costs more than the rest of the construction.
-    The type is made on first use: importing ``numpy.random`` takes about
-    9 ms, which commands that draw nothing need not pay.
+    The held state is the fresh one, with lists for arrays, which the state
+    setter reads twice as fast; it is written, never read back, so its
+    buffer stays empty.  The type is made on first use: importing
+    ``numpy.random`` takes about 9 ms, which commands that draw nothing
+    need not pay.
     """
     from numpy.random.bit_generator import ISeedSequence
 
@@ -207,24 +212,31 @@ def _key_seed() -> type:
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
             return self.key
 
-    return KeySeed
+    class KeyedPhilox(np.random.Philox):
+        def __init__(self, key: np.ndarray) -> None:
+            super().__init__(KeySeed(key))
+            state = self.state
+            self.held = {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+                         "buffer": state["buffer"].tolist()}
+
+    return KeyedPhilox
 
 
 def trial_stream(master_seed: int, block: int) -> np.random.Generator:
     """The random stream of trials ``block * BLOCK`` to ``block * BLOCK +
     BLOCK - 1``, keyed by ``(master_seed, block)`` and read by position
     through :func:`read_cells`."""
-    key = _key_seed()(np.array([master_seed, block], np.uint64))
-    return np.random.Generator(np.random.Philox(key))
+    return np.random.Generator(_keyed_philox()(np.array([master_seed, block], np.uint64)))
 
 
 @functools.lru_cache(maxsize=16)
 def _thread_stream(thread: int, master_seed: int, block: int) -> np.random.Generator:
-    """The stream of block ``block`` that :func:`run_trial` reuses across its
-    calls in thread ``thread``.  :func:`read_cells` positions a stream before
-    every read, so a used stream reads as a fresh one.  Threads do not share
-    a stream: another thread's read between a positioning and its read
-    would move it."""
+    """The stream of block ``block``, and with it its held state, that
+    :func:`run_trial` reuses across its calls in thread ``thread``.
+    :func:`read_cells` positions a stream before every read, so a used
+    stream reads as a fresh one.  Threads do not share a stream: another
+    thread's positioning between one's positioning and its read would move
+    it."""
     return trial_stream(master_seed, block)
 
 
@@ -246,23 +258,27 @@ def read_cells(streams: dict, trials: np.ndarray, row: int, n: int) -> np.ndarra
     run ends at a block's end, or before a gap between listed trials whose
     cells would take more than ``SEEK`` uniforms to generate.  A run
     without gaps is generated straight into the result; the cells of a
-    run's gaps are generated and dropped.
+    run's gaps are generated and dropped.  A read is positioned by writing
+    the counter of the state that its stream's bit generator holds
+    (:func:`trial_stream`), not by reading the state back.
     """
     w = -(-n // 4) * 4
     out = np.empty((len(trials), CHUNK, w))
-    cuts = [] if len(trials) < 2 else (np.flatnonzero(
-        ((np.diff(trials) - 1) * (CHUNK * w) > SEEK) | np.diff(trials // BLOCK)) + 1).tolist()
+    edges = [0, len(trials)] if len(trials) < 2 else [0, *(np.flatnonzero(
+        ((np.diff(trials) - 1) * (CHUNK * w) > SEEK) | np.diff(trials // BLOCK)) + 1).tolist(),
+        len(trials)]
     block = None
-    for start, stop in zip([0, *cuts], [*cuts, len(trials)]):
-        lo, hi = int(trials[start]), int(trials[stop - 1])
+    for start, stop in zip(edges, edges[1:]):
+        lo, hi = trials.item(start), trials.item(stop - 1)
         if lo // BLOCK != block:
             block = lo // BLOCK
             stream = streams[block]
-            state = stream.bit_generator.state
-            state["buffer_pos"] = 4
-        # a counter step gives 4 outputs, and the next output comes from the next step
+            bits = stream.bit_generator
+            state = bits.held
+        # a counter step gives 4 outputs, and with the held state's buffer
+        # empty the next output comes from the next step
         state["state"]["counter"][0] = (row * BLOCK + lo % BLOCK) * CHUNK * w // 4
-        stream.bit_generator.state = state
+        bits.state = state
         if hi - lo == stop - start - 1:
             stream.random(out=out[start:stop])
         else:
@@ -381,10 +397,11 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     trial.
     """
     t_count, n = log_priors.shape
-    first = np.full((len(rules), t_count), -1)
+    first = np.empty((len(rules), t_count), int)
+    first.fill(-1)
     correct = np.zeros(first.shape, bool)
     rows = np.arange(t_count)
-    pending = first < 0
+    pending = ~correct
     hits = np.empty(pending.shape, bool)
     keys = [rule.statistic_key for rule in rules]
     plan = dict(zip(keys, rules))
@@ -418,7 +435,9 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
         if not rules or not (s or cfg.check_prior):
             continue
         statistics = {key: stop_statistic(rule, logp, previous) for key, rule in plan.items()}
-        for hit, (key, compare, cutoff) in zip(hits, tests):
+        # the tests first: zip then stops without asking the mask for a row
+        # past its end, which numpy answers with a costly IndexError
+        for (key, compare, cutoff), hit in zip(tests, hits):
             compare(statistics[key], cutoff, out=hit)
         hits &= pending
         previous = logp
@@ -467,8 +486,8 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
         np.array([config.trial_index]), keep_states=True)
     path = np.concatenate(states)
     path.flags.writeable = False
-    if first[0, 0] < 0:
-        return TrialOutcome(None, None, None, path)
     stopped_at = int(first[0, 0])
+    if stopped_at < 0:
+        return TrialOutcome(None, None, None, path)
     choice = int(path[stopped_at].argmax())
     return TrialOutcome(stopped_at, choice, choice == config.true_index, path)

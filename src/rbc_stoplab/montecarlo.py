@@ -133,10 +133,13 @@ class ExperimentConfig:
             raise ValueError("at least one method required")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
-        # calibration checks n and tau; a trial checks the rest
-        rule = calibrate(self.methods[0], self.tau, self.n)
-        prior = (self.prior if isinstance(self.prior, SimplexPoint)
-                 else SimplexPoint.uniform(self.n))
+        # M1's calibration checks n and tau without holding a point of n
+        # classes, as an entropy rule's would; a trial checks the rest, with
+        # the same bound for every rule at its default order
+        rule = calibrate("M1", self.tau, self.n)
+        with _held(("n",), f"points of {self.n} classes"):
+            prior = (self.prior if isinstance(self.prior, SimplexPoint)
+                     else SimplexPoint.uniform(self.n))
         TrialConfig(prior=prior, true_index=self.true_index, rule=rule, model=self.model,
                     scheme=self.scheme, max_sequences=self.max_sequences,
                     seed=self.master_seed)
@@ -206,13 +209,19 @@ def _classify(cfg: ExperimentConfig, rules) -> tuple[np.ndarray, np.ndarray, np.
         correct = np.empty(first.shape, dtype=bool)
     with _held(("max_sequences",), f"the tallies of {cfg.max_sequences} sequences"):
         tally = np.zeros((2, len(rules), cfg.max_sequences + 2), dtype=int)
-    count = -(-cfg.n_trials // SLICE)
-    edges = [cfg.n_trials * k // count for k in range(count + 1)]
-    for lo, hi in zip(edges, edges[1:]):
+    for lo, hi in _slices(cfg.n_trials):
         first[:, lo:hi], correct[:, lo:hi], _ = classify_until_stop(cfg, rules,
                                                                     *_batch(cfg, lo, hi))
         tally += _tally(first[:, lo:hi], correct[:, lo:hi], tally.shape[2])
     return first, correct, tally
+
+
+def _slices(n_trials: int):
+    """The fewest equal slices ``(lo, hi)`` of at most ``SLICE`` of
+    ``n_trials`` trials."""
+    count = -(-n_trials // SLICE)
+    edges = [n_trials * k // count for k in range(count + 1)]
+    return zip(edges, edges[1:])
 
 
 def _tally(first: np.ndarray, correct: np.ndarray, width: int) -> np.ndarray:
@@ -476,13 +485,17 @@ def trajectory_ensemble(cfg: ExperimentConfig, n_paths: int = 100) -> EnsembleRe
     plus their mean path; trial ``t`` reads the cells of trial ``t``, and
     only those, so its path is the one ``run_experiment`` and ``run_trial``
     see.  The paths are allocated before any path runs, and raise
-    :class:`TooLarge` if they cannot be held."""
+    :class:`TooLarge` if they cannot be held; they run in the harness's
+    slices, so one slice's states are held besides them."""
     sub = replace(cfg, n_trials=n_paths)
     # row-major paths, so that the mean adds them path by path
     with _held(("n_trials", "max_sequences"), f"{n_paths} paths of {cfg.max_sequences + 1} states"):
         paths = np.empty((n_paths, cfg.max_sequences + 1, cfg.n))
-    states = classify_until_stop(sub, [], *_batch(sub, 0, n_paths), keep_states=True)[2]
-    np.exp(np.stack(states, axis=1, out=paths), out=paths)
+    for lo, hi in _slices(n_paths):
+        out = paths[lo:hi]
+        np.stack(classify_until_stop(sub, [], *_batch(sub, lo, hi), keep_states=True)[2], axis=1,
+                 out=out)
+        np.exp(out, out=out)
     return EnsembleResult(paths=paths, mean=paths.mean(axis=0))
 
 

@@ -151,6 +151,27 @@ class TestConfigParsing:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n", [10**12, 10**20])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "bounds", "trajectories"])
+    @pytest.mark.parametrize("methods", ["M1,MP,M3", "M3,M1"])
+    def test_class_count_beyond_memory_names_key(self, tmp_path, capsys, command, n, methods):
+        # the config check holds a point of n classes in place of a random
+        # prior; an entropy rule's calibration would hold one too.  numpy
+        # refuses 10**12 classes without allocating, and 10**20 as past its
+        # largest dimension
+        text = GOOD_CONFIG.replace("n = 3", f"n = {n}").replace(
+            "prior = 0.42,0.55,0.03", "prior = random_remainder:0.1").replace(
+            "methods = M1,MP,M3", f"methods = {methods}")
+        path = write_config(tmp_path, text + f"out_dir = {tmp_path / 'out'}\n")
+        argv = {"simulate": [], "sweep": ["--tau-list", "0.7,0.8"], "bounds": ["--s-range", "1:3"],
+                "trajectories": ["--paths", "2"]}[command]
+        rc = main([command, path, *argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: key 'n': points of {n} classes do not fit in memory")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("mu_pos", "nan"), ("c_pos", "inf"),
                                             ("mu_neg", "-inf"), ("c_neg", "nan")])
     @pytest.mark.parametrize("command", ["simulate", "bounds"])

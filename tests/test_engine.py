@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbc_stoplab.bounds import BoundQuery, min_sequences_constant_evidence
+from rbc_stoplab import montecarlo
 from rbc_stoplab.criteria import FAMILIES, calibrate
 from rbc_stoplab.engine import (
     BLOCK,
@@ -23,6 +24,7 @@ from rbc_stoplab.engine import (
     TopN,
     TrialConfig,
     TrialOutcome,
+    _log_prior,
     draw_normals,
     log_evidence,
     read_cells,
@@ -31,8 +33,13 @@ from rbc_stoplab.engine import (
     trial_normals,
     trial_stream,
 )
-from rbc_stoplab.montecarlo import table_config
-from rbc_stoplab.simplex import SimplexPoint, center_line_distance, special_point
+from rbc_stoplab.montecarlo import ExperimentConfig, run_experiment, table_config
+from rbc_stoplab.simplex import (
+    SimplexPoint,
+    _normalize_log_weights,
+    center_line_distance,
+    special_point,
+)
 
 
 def sp(values):
@@ -400,18 +407,82 @@ class TestStreamReuse:
         np.testing.assert_array_equal(trial_stream(seed, block).random(64), expected)
         assert trial_stream(seed, block) is not trial_stream(seed, block)
 
-    def test_caches_stay_bounded(self):
-        # streams and priors that run_trial keeps, counted among live objects
+    def test_held_streams_move_back_and_forth(self):
+        # Two threads at once each run every rule on trials of three blocks,
+        # in orders that position each held stream backwards as well as
+        # forwards: trial 1030 read to chunk 2, then trials 5 and 2050, then
+        # 1030 again from chunk 0.  M1 at tau 1 never stops, so it reads to
+        # max_sequences.  Every outcome equals the harness's stop records and
+        # the path that trial_normals gives, bit for bit.
+        seed, prior = 41, sp([0.42, 0.55, 0.03])
+        harness = run_experiment(ExperimentConfig(
+            n=3, prior=prior, tau=0.8, methods=FAMILIES, model=NOISY, n_trials=2100,
+            max_sequences=24, master_seed=seed))
+        rules = [calibrate(family, 0.8, 3) for family in FAMILIES] + [calibrate("M1", 1.0, 3)]
+        order = [(1030, 24), (5, 24), (2050, 24), (1030, 8), (5, 8), (2050, 8), (1040, 16),
+                 (1000, 24), (2099, 16), (1030, 24)]
+        workers = 2
+        results = {}
+        start = threading.Barrier(workers)
+
+        def work(k):
+            calls = [TrialConfig(prior=prior, true_index=0, rule=rule, model=NOISY,
+                                 max_sequences=sequences, seed=seed, trial_index=t)
+                     for t, sequences in order[k:] + order[:k] for rule in rules]
+            start.wait(timeout=30)
+            results[k] = [(c, run_trial(c)) for c in calls]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(workers):
+            assert len(results[k]) == len(order) * len(rules)
+            for cfg, out in results[k]:
+                t, where = cfg.trial_index, (k, cfg.trial_index, cfg.rule)
+                if cfg.rule.source_tau == 1.0:
+                    expected_stop = None
+                else:
+                    first = harness.first_stop[FAMILIES.index(cfg.rule.family), t]
+                    expected_stop = first if 0 <= first <= cfg.max_sequences else None
+                assert out.stopped_at == expected_stop, where
+                if expected_stop is not None:
+                    correct = harness.stop_correct[FAMILIES.index(cfg.rule.family), t]
+                    assert out.correct == bool(correct), where
+                sequences = cfg.max_sequences if expected_stop is None else expected_stop
+                logp, path = _log_prior(prior), [_log_prior(prior)]
+                for z in trial_normals(seed, t, 3, sequences):
+                    logp = _normalize_log_weights(logp + log_evidence(NOISY, 0, z[None]))
+                    path.append(logp)
+                assert out.log_probs.tobytes() == np.concatenate(path).tobytes(), where
+
+    def test_caches_stay_bounded(self, monkeypatch):
+        # streams, the states they hold and priors that run_trial keeps,
+        # counted among live objects; the harness's streams, one per block
+        # of each slice, and their states are dropped with the slice
         def live():
             gc.collect()
             objects = gc.get_objects()
             return np.array([sum(isinstance(o, kind) for o in objects)
-                             for kind in (np.random.Generator, SimplexPoint)])
+                             for kind in (np.random.Generator, SimplexPoint)]
+                            + [sum(isinstance(o, dict) and "bit_generator" in o for o in objects)])
 
+        monkeypatch.setattr(montecarlo, "SLICE", BLOCK)
         before = live()
         for seed in range(1000):
             prior = sp([1.0 + seed, 2.0, 3.0])
             run_trial(replace(self.configs(seed, 1)[0], prior=prior, max_sequences=1))
+            if seed % 100 == 0:
+                run_experiment(ExperimentConfig(
+                    n=3, prior=prior, tau=0.8, methods=("M1",), model=NOISY,
+                    n_trials=3 * BLOCK, max_sequences=1, master_seed=seed))
         assert (live() - before <= 64).all(), live() - before
 
 

@@ -599,6 +599,37 @@ class TestTrajectoryEnsemble:
         assert ens.paths.shape == (37, 6, 3)
         np.testing.assert_allclose(ens.paths.sum(-1), 1.0, atol=1e-12)
 
+    def test_slices_give_the_paths_of_one_batch(self, monkeypatch):
+        # 2,100 paths from random priors over three blocks, in one batch and
+        # in five slices of 420 that straddle block boundaries
+        cfg = small_config(n=4, prior=RandomRemainder(0.3), methods=("M1",), max_sequences=20)
+        whole = trajectory_ensemble(cfg, n_paths=2100)
+        sizes = []
+
+        def spy(cfg, rules, log_priors, *args, **kwargs):
+            sizes.append(len(log_priors))
+            return classify_until_stop(cfg, rules, log_priors, *args, **kwargs)
+        monkeypatch.setattr(montecarlo, "classify_until_stop", spy)
+        monkeypatch.setattr(montecarlo, "SLICE", 500)
+        sliced = trajectory_ensemble(cfg, n_paths=2100)
+        assert sizes == [420] * 5
+        assert sliced.paths.tobytes() == whole.paths.tobytes()
+        assert sliced.mean.tobytes() == whole.mean.tobytes()
+
+    def test_peak_memory_stays_near_the_paths(self):
+        # one slice's states are held besides the paths: 20,000 paths of 101
+        # states run in five slices of 4,000, so the traced peak is about
+        # 1.2 times the paths; all states held at once took 2.25 times
+        cfg = replace(table_config("T2"), max_sequences=100)
+        trajectory_ensemble(cfg, n_paths=10)  # lazy set-up, untraced
+        tracemalloc.start()
+        try:
+            ens = trajectory_ensemble(cfg, n_paths=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ens.paths.nbytes, (peak, ens.paths.nbytes)
+
 
 class TestLettersProjection:
     def test_perfect_accuracy_single_round(self):

@@ -1,6 +1,6 @@
 """In-process A/B of ``run_trial`` between this checkout and another.
 
-    python tools/ab_run_trial.py OTHER_SRC [--rounds 8] [--seed 7]
+    python tools/ab_run_trial.py OTHER_SRC [--rounds 8] [--seed 7] [--harness]
 
 ``OTHER_SRC`` is the ``src`` directory of another checkout, for example
 of the parent commit unpacked with ``git archive``.  This checkout's
@@ -19,11 +19,21 @@ script prints the median call time of each side, their ratio (this
 checkout over the other) and the rounds each side won.  A shared CPU
 moves whole-process benchmark runs by about 10%; calls interleaved in one
 process see the same machine, so a few rounds resolve a smaller change.
+
+``--harness`` runs the batched loop instead, which shares ``read_cells``
+and the stop event with ``run_trial``: ``run_experiment`` on tables T3 and
+T4 at 5,000 trials, and the ``sweep_topn`` benchmark workload's sweep (the
+T3 prior and T4 model with top-3 querying, 5,000 trials of 40 sequences,
+48 rule-and-tau pairs).  Both sides must give equal stop records and sweep
+points, or the script exits 1.  Each round runs every job once on each
+side, alternating which side goes first, and the script prints each job's
+median time per side, their ratio and the rounds each side won.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import os
 import random
@@ -32,6 +42,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SWEEP_TAUS = [0.65, 0.69, 0.72, 0.76, 0.79, 0.83, 0.86, 0.9]  # bench/workload.py's TAU_LIST
 
 
 def load_other(src: str):
@@ -86,23 +97,73 @@ def compare(mix: str, this, other, rounds: int) -> bool:
             print(f"{mix}: outcomes differ at config {k} ({a.rule.family}, trial "
                   f"{a.trial_index}, {a.scheme})")
             return False
+    times = alternate([(functools.partial(run_a, a), functools.partial(run_b, b))
+                       for a, b in zip(cfgs_a, cfgs_b)], rounds)
+    medians = [[statistics.median(calls) for calls in side] for side in times]
+    report(f"{mix}: {len(cfgs_a)} calls a round, median call", medians, 1e6, "us")
+    return True
+
+
+def alternate(jobs: list, rounds: int) -> tuple[list, list]:
+    """Each side's times ``[round][job]`` of the ``(this, other)`` callables
+    ``jobs``, run once each per round, alternating which side goes first."""
     clock = time.perf_counter
-    medians: tuple[list, list] = ([], [])
+    times: tuple[list, list] = ([], [])
     for r in range(rounds):
-        times: tuple[list, list] = ([], [])
-        for k, (a, b) in enumerate(zip(cfgs_a, cfgs_b)):
+        for side in times:
+            side.append([])
+        for k, pair in enumerate(jobs):
             for side in ((0, 1) if (r + k) % 2 == 0 else (1, 0)):
-                run, cfg = (run_a, a) if side == 0 else (run_b, b)
                 start = clock()
-                run(cfg)
-                times[side].append(clock() - start)
-        for side in (0, 1):
-            medians[side].append(statistics.median(times[side]))
-    this_us, other_us = (1e6 * statistics.median(m) for m in medians)
-    won = sum(a < b for a, b in zip(*medians))
-    print(f"{mix}: {len(cfgs_a)} calls a round, median call this {this_us:.1f} us, other "
-          f"{other_us:.1f} us, ratio x{this_us / other_us:.3f}, this faster in "
-          f"{won}/{rounds} rounds, other in {rounds - won}/{rounds}")
+                pair[side]()
+                times[side][r].append(clock() - start)
+    return times
+
+
+def report(label: str, per_round: list, scale: float, unit: str) -> None:
+    """Print the median over rounds of each side's per-round times, their
+    ratio (this over other) and the rounds each side won."""
+    this, other = (scale * statistics.median(side) for side in per_round)
+    rounds = len(per_round[0])
+    won = sum(a < b for a, b in zip(*per_round))
+    print(f"{label} this {this:.1f} {unit}, other {other:.1f} {unit}, ratio "
+          f"x{this / other:.3f}, this faster in {won}/{rounds} rounds, other in "
+          f"{rounds - won}/{rounds}")
+
+
+def harness_jobs(pkg, seed: int) -> dict:
+    """The ``--harness`` jobs of package ``pkg``: name to a callable that
+    returns what both sides must agree on."""
+    montecarlo, engine, criteria = pkg.montecarlo, pkg.engine, pkg.criteria
+    t3, t4 = (montecarlo.table_config(t, master_seed=seed) for t in ("T3", "T4"))
+    sweep = montecarlo.ExperimentConfig(
+        n=t3.n, prior=t3.prior, tau=t4.tau, methods=criteria.FAMILIES, model=t4.model,
+        scheme=engine.TopN(3), n_trials=5000, max_sequences=40, master_seed=seed)
+
+    def records(cfg):
+        result = montecarlo.run_experiment(cfg)
+        return result.first_stop.tobytes(), result.stop_correct.tobytes()
+
+    def points():
+        return [(p.method, p.tau, p.mean_sequences, p.mean_accuracy)
+                for p in montecarlo.speed_accuracy_sweep(sweep, SWEEP_TAUS)]
+    return {"T3": functools.partial(records, t3), "T4": functools.partial(records, t4),
+            "sweep_topn": points}
+
+
+def compare_harness(this, other, seed: int, rounds: int) -> bool:
+    """Check the harness jobs of packages ``this`` and ``other`` for equal
+    results, then time them in alternating rounds and print one summary
+    line per job; False if a result differs."""
+    jobs_a, jobs_b = harness_jobs(this, seed), harness_jobs(other, seed)
+    for name in jobs_a:
+        if jobs_a[name]() != jobs_b[name]():
+            print(f"harness {name}: results differ")
+            return False
+    times = alternate([(jobs_a[name], jobs_b[name]) for name in jobs_a], rounds)
+    for k, name in enumerate(jobs_a):
+        report(f"harness {name}: median run", [[run[k] for run in side] for side in times],
+               1e3, "ms")
     return True
 
 
@@ -111,6 +172,8 @@ def main(argv=None) -> int:
     parser.add_argument("other_src", metavar="OTHER_SRC")
     parser.add_argument("--rounds", type=int, default=8)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--harness", action="store_true",
+                        help="time run_experiment on T3 and T4 and the sweep_topn sweep")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -119,6 +182,8 @@ def main(argv=None) -> int:
 
     other = load_other(args.other_src)
     print(f"this: {os.path.dirname(this.__file__)}\nother: {os.path.dirname(other.__file__)}")
+    if args.harness:
+        return 0 if compare_harness(this, other, args.seed, args.rounds) else 1
     ok = True
     for mix in ("scalar_geometry", "probes"):
         ok &= compare(mix, (this.engine.run_trial, configs(this, mix, args.seed)),
