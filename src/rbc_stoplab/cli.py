@@ -46,6 +46,9 @@ _CONFIG_KEYS = (
     "mu_neg", "c_neg", "scheme", "trials", "max_sequences", "seed", "out_dir", "rng_layout",
 )
 
+# the config key behind each experiment config field, which its errors name
+_FIELD_KEYS = {**{key: f"key {key!r}" for key in _CONFIG_KEYS}, "n_trials": "key 'trials'"}
+
 _DEFAULTS = {
     "true_index": "0",
     "methods": ",".join(FAMILIES),
@@ -150,20 +153,15 @@ def build_experiment_config(raw: dict[str, str]) -> tuple[ExperimentConfig, dict
     else:
         raise ConfigError(f"key 'scheme': expected 'broadcast' or 'topN:<N>', got {scheme_text!r}")
 
-    model = EvidenceModel(
-        mu_pos=_parse_float(resolved, "mu_pos"),
-        c_pos=_parse_float(resolved, "c_pos"),
-        mu_neg=_parse_float(resolved, "mu_neg"),
-        c_neg=_parse_float(resolved, "c_neg"),
-    )
     try:
         cfg = _hold(
-            {"n": "key 'n'"}, ExperimentConfig,
+            _FIELD_KEYS, ExperimentConfig,
             n=n,
             prior=prior,
             tau=_parse_float(resolved, "tau"),
             methods=methods,
-            model=model,
+            model=EvidenceModel(**{key: _parse_float(resolved, key)
+                                   for key in ("mu_pos", "c_pos", "mu_neg", "c_neg")}),
             true_index=_parse_int(resolved, "true_index"),
             scheme=scheme,
             n_trials=_parse_int(resolved, "trials"),
@@ -171,7 +169,7 @@ def build_experiment_config(raw: dict[str, str]) -> tuple[ExperimentConfig, dict
             master_seed=_parse_int(resolved, "seed"),
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise _option_error(exc, _FIELD_KEYS) from None
     return cfg, resolved
 
 
@@ -187,9 +185,6 @@ def _own_option(args, resolved: dict[str, str], key: str, default: str | None = 
                               f"(or key {key!r} in the config)")
         resolved[key] = default
     return resolved[key]
-
-
-_SIZE_KEYS = {"n_trials": "key 'trials'", "max_sequences": "key 'max_sequences'"}
 
 
 def _hold(names: dict[str, str], run, *args, **kwargs):
@@ -233,7 +228,7 @@ def write_outputs(out_dir: str, manifest: dict, csvs=(), result=None,
 
 def _cmd_simulate(args) -> int:
     cfg, resolved = build_experiment_config(parse_config_file(args.config))
-    result = _hold(_SIZE_KEYS, run_experiment, cfg)
+    result = _hold(_FIELD_KEYS, run_experiment, cfg)
     write_outputs(resolved["out_dir"], resolved, result=result)
     print(f"wrote results for {len(cfg.methods)} methods x "
           f"{cfg.max_sequences} sequences to {resolved['out_dir']}")
@@ -261,7 +256,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"{name} must be comma-separated numbers") from None
     try:
-        points = _hold(_SIZE_KEYS, speed_accuracy_sweep, cfg, taus)
+        points = _hold(_FIELD_KEYS, speed_accuracy_sweep, cfg, taus)
     except ValueError as exc:
         raise _option_error(exc, {"tau": name}) from None
     write_outputs(resolved["out_dir"], resolved, [(
@@ -356,7 +351,7 @@ def _cmd_trajectories(args) -> int:
     paths = _parse_int(resolved, "paths")
     if paths < 1:
         raise ConfigError(f"--paths must be at least 1, got {paths}")
-    ens = _hold({**_SIZE_KEYS, "n_trials": "--paths" if args.paths is not None else "key 'paths'"},
+    ens = _hold({**_FIELD_KEYS, "n_trials": "--paths" if args.paths is not None else "key 'paths'"},
                 trajectory_ensemble, cfg, paths)
     cols = [f"p{i + 1}" for i in range(cfg.n)]
     write_outputs(resolved["out_dir"], resolved, [

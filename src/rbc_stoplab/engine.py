@@ -72,8 +72,9 @@ class EvidenceModel:
         for key in ("mu_pos", "c_pos", "mu_neg", "c_neg"):
             if not np.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.c_pos < 0 or self.c_neg < 0:
-            raise ValueError("channel log-sds must be nonnegative")
+        for key in ("c_pos", "c_neg"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be nonnegative, got {getattr(self, key)}")
         self.__dict__["_channel_vectors"] = {}
 
     def _channels(self, true_index: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -410,6 +411,7 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     # live: the trial columns of the evidence that belong to the batch's
     # trials, None while all of them do
     previous = live = None
+    some_stopped = False
     states = [logp] if keep_states else None
     for s in range(cfg.max_sequences + 1):
         if s:
@@ -439,11 +441,22 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
         # past its end, which numpy answers with a costly IndexError
         for (key, compare, cutoff), hit in zip(tests, hits):
             compare(statistics[key], cutoff, out=hit)
-        hits &= pending
+        # pending is all true until some rule stops
+        if some_stopped:
+            hits &= pending
         previous = logp
         # count_nonzero and take cost a batch of one least
         if not np.count_nonzero(hits):
             continue
+        some_stopped = True
+        if t_count == 1:
+            # one trial leaves the batch only whole, so its stops need no lookup
+            first[hits] = s
+            correct[hits] = logp.argmax() == cfg.true_index
+            pending ^= hits
+            if np.count_nonzero(pending):
+                continue
+            break
         # one argmax per stopped trial; a flat nonzero outruns a two-axis one
         stopped = hits.any(0).nonzero()[0]
         j, r_new = np.divmod(hits.T.take(stopped, 0).ravel().nonzero()[0], len(rules))

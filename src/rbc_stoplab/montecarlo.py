@@ -128,9 +128,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         unknown = set(self.methods) - set(FAMILIES)
         if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+            raise ValueError(f"methods holds unknown families: {sorted(unknown)}")
         if not self.methods:
-            raise ValueError("at least one method required")
+            raise ValueError("methods must name at least one family")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         # M1's calibration checks n and tau without holding a point of n

@@ -25,7 +25,7 @@ from rbc_stoplab.criteria import (
     stop_cutoff,
     stop_statistic,
 )
-from rbc_stoplab.engine import EvidenceModel
+from rbc_stoplab.engine import EvidenceModel, TrialConfig, run_trial
 from rbc_stoplab.montecarlo import ExperimentConfig, run_experiment, trajectory_ensemble
 from rbc_stoplab.simplex import SimplexPoint
 
@@ -315,6 +315,117 @@ class TestHarnessAgainstBounds:
                         assert result.stop_correct[row, 0], case
                         cases += 1
         assert cases == 54
+
+
+def first_passage(l0, drift, var, bound, sequences, check_prior, cells):
+    """P(first stop = s) and P(first stop = s, correct) for s = 0 to
+    ``sequences``, of a walk from ``l0`` with N(``drift``, ``var``) steps
+    that stops once |L| > ``bound``, correctly above it.
+
+    The walk on (-bound, bound) is held as ``cells`` cell masses.  Its
+    first step runs from the point ``l0``; later steps move each cell's
+    mass from the cell's midpoint, so the masses carry an O(h**2) error.
+    """
+    scale = math.sqrt(2.0 * var)  # the step's sd times sqrt(2), as erfc takes it
+
+    def above(x):  # P(step > x)
+        return 0.5 * math.erfc((x - drift) / scale)
+
+    def below(x):  # P(step < x)
+        return 0.5 * math.erfc((drift - x) / scale)
+
+    stop, right = np.zeros(sequences + 1), np.zeros(sequences + 1)
+    if check_prior and abs(l0) > bound:
+        stop[0], right[0] = 1.0, float(l0 > 0)
+        return stop, right
+    h = 2.0 * bound / cells
+    edges = -bound + h * np.arange(cells + 1)
+    tail = np.array([above(e - l0) for e in edges])
+    mass = tail[:-1] - tail[1:]
+    right[1] = above(bound - l0)
+    stop[1] = right[1] + below(-bound - l0)
+    # the mass a midpoint moves to the cell d cells on, d = 1 - cells to cells - 1
+    tail = np.array([above((k - cells + 0.5) * h) for k in range(2 * cells)])
+    kernel = tail[:-1] - tail[1:]
+    mids = edges[:-1] + h / 2
+    up = np.array([above(bound - x) for x in mids])
+    down = np.array([below(-bound - x) for x in mids])
+    for s in range(2, sequences + 1):
+        right[s] = mass @ up
+        stop[s] = right[s] + mass @ down
+        mass = np.convolve(mass, kernel)[cells - 1:2 * cells - 1]
+    return stop, right
+
+
+class TestFirstPassage:
+    """At n = 2 under broadcast querying, the log-odds L = log p_true -
+    log p_other is a Gaussian random walk: each sequence adds
+    N(mu_pos - mu_neg, c_pos**2 + c_neg**2).  M1 stops once |L| >
+    logit(tau), correctly when L > 0 there, so its whole first-passage law
+    follows from a 1-D Chapman-Kolmogorov recursion (:func:`first_passage`).
+
+    The share of trials that first stop at each s, and first stop
+    correctly there, must lie within 5 binomial standard errors of the
+    oracle's plus one trial, and equal it where the oracle gives 0 or 1.
+    2 curves of 13 points over 4 priors make 104 comparisons per test; at
+    5 standard errors a correct program fails one with probability about
+    104 * 6e-7 where the normal approximation holds.  The extra trial
+    covers shares far below one trial, where the count is Poisson: the
+    competitor-side prior stops correctly at s = 1 with probability 2e-7,
+    so a single such trial of 5,000 reads 31 standard errors; the bound
+    fails on two of 5,000 or three of 200,000, which come with probability
+    5e-7 and 1e-5.  The grid
+    error, the change from 1,100 cells to 2,200, must stay under a
+    hundredth of each point's standard error.  The seed, 1, was fixed
+    before the first run.
+    """
+
+    TAU, MODEL, SEQUENCES = 0.9, EvidenceModel(0.6, 0.8, 0.0, 0.5), 12
+
+    def oracle(self, probs, check_prior, trials):
+        l0 = math.log(probs[0]) - math.log(probs[1])
+        var = self.MODEL.c_pos ** 2 + self.MODEL.c_neg ** 2
+        args = (l0, self.MODEL.mu_pos - self.MODEL.mu_neg, var,
+                math.log(self.TAU / (1.0 - self.TAU)), self.SEQUENCES, check_prior)
+        coarse, fine = first_passage(*args, 1100), first_passage(*args, 2200)
+        for p, q in zip(coarse, fine):
+            assert np.all(np.abs(p - q) <= 0.01 * np.sqrt(q * (1.0 - q) / trials))
+        return fine
+
+    def assert_matches(self, first, correct, probs, check_prior):
+        trials = len(first)
+        stop, right = self.oracle(probs, check_prior, trials)
+        for s in range(self.SEQUENCES + 1):
+            at_s = first == s
+            for share, p, what in ((at_s.mean(), stop[s], "stop"),
+                                   ((at_s & correct).mean(), right[s], "correct stop")):
+                bound = 5.0 * math.sqrt(p * (1.0 - p) / trials) + (0.0 < p < 1.0) / trials
+                assert abs(share - p) <= bound, (probs, check_prior, s, what, share, p)
+
+    # priors outside the stop region, inside it on the true class's side,
+    # and inside it on the competitor's
+    CASES = [([0.6, 0.4], True), ([0.95, 0.05], True), ([0.95, 0.05], False),
+             ([0.04, 0.96], False)]
+
+    @pytest.mark.parametrize("probs, check_prior", CASES)
+    def test_harness_first_stops_follow_the_walk(self, probs, check_prior):
+        cfg = ExperimentConfig(n=2, prior=sp(probs), tau=self.TAU, methods=("M1",),
+                               model=self.MODEL, n_trials=200_000,
+                               max_sequences=self.SEQUENCES, master_seed=1,
+                               check_prior=check_prior)
+        result = run_experiment(cfg)
+        self.assert_matches(result.first_stop[0], result.stop_correct[0], probs, check_prior)
+
+    @pytest.mark.parametrize("probs, check_prior", CASES)
+    def test_single_trial_first_stops_follow_the_walk(self, probs, check_prior):
+        rule = calibrate("M1", self.TAU, 2)
+        outcomes = [run_trial(TrialConfig(prior=sp(probs), true_index=0, rule=rule,
+                                          model=self.MODEL, max_sequences=self.SEQUENCES,
+                                          seed=1, trial_index=t, check_prior=check_prior))
+                    for t in range(5000)]
+        first = np.array([-1 if o.stopped_at is None else o.stopped_at for o in outcomes])
+        self.assert_matches(first, np.array([bool(o.correct) for o in outcomes]), probs,
+                            check_prior)
 
 
 class TestFalseStopProbability:

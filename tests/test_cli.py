@@ -198,7 +198,8 @@ class TestConfigParsing:
         argv = [command, path] + (["--s-range", "1:5"] if command == "bounds" else [])
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be at most 2.97e+304") and value in err
+        assert err.startswith(f"error: key {key!r}: {key} must be at most 2.97e+304")
+        assert value in err
         assert not recwarn.list
         assert not (tmp_path / "out").exists()
 
@@ -224,6 +225,32 @@ class TestConfigParsing:
         rc = main(["simulate", path])
         assert rc == 2
         assert "methods" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("key, edit, message", [
+        ("tau", ("tau = 0.8", "tau = 0.2"), "tau must lie in (1/3, 1], got 0.2"),
+        ("true_index", ("true_index = 0", "true_index = 3"), "true_index out of range"),
+        ("max_sequences", ("max_sequences = 8", "max_sequences = 0"),
+         "max_sequences must be at least 1"),
+        ("trials", ("trials = 200", "trials = 0"), "n_trials must be at least 1"),
+        ("seed", ("seed = 42", "seed = -1"), "seed must lie in [0, 2**64), got -1"),
+        ("c_pos", ("c_pos = 0.5", "c_pos = -1"), "c_pos must be nonnegative, got -1.0"),
+        ("mu_pos", ("mu_pos = 0.6", "mu_pos = inf"), "mu_pos must be finite, got inf"),
+        ("scheme", ("scheme = broadcast", "scheme = topN:5"),
+         "scheme queries 5 classes but only 3 exist"),
+        ("methods", ("M1,MP,M3", "M1,M9"), "methods holds unknown families: ['M9']"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "bounds", "trajectories"])
+    def test_bad_value_names_key(self, tmp_path, capsys, command, key, edit, message):
+        path = write_config(tmp_path, GOOD_CONFIG.replace(*edit)
+                            + f"out_dir = {tmp_path / 'out'}\n")
+        argv = {"simulate": [], "sweep": ["--tau-list", "0.7,0.8"], "bounds": ["--s-range", "1:3"],
+                "trajectories": ["--paths", "2"]}[command]
+        assert main([command, path, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: key {key!r}: {message}\n"
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:

@@ -384,6 +384,37 @@ class TestBatchLayout:
         assert [entry for entry in seen if not entry[2]] == []
 
 
+class TestBatchOfOne:
+    @pytest.mark.parametrize("probs", [[0.42, 0.55, 0.03], [0.86, 0.1, 0.04]])
+    @pytest.mark.parametrize("check_prior", [True, False])
+    @pytest.mark.parametrize("scheme", [Broadcast(), TopN(2)])
+    def test_every_rule_at_once_gives_the_batch_records(self, scheme, check_prior, probs):
+        # run_trial passes one rule, so only a direct call tests a batch of
+        # one against several: each stops the trial apart, and M1 at tau 1
+        # never does.  Trials 1023 and 1024 sit either side of a block edge;
+        # the second prior is in some rules' stop regions from the start
+        cfg = small_config(prior=sp(probs), methods=FAMILIES, scheme=scheme, n_trials=1100,
+                           max_sequences=24, check_prior=check_prior)
+        rules = [calibrate(family, cfg.tau, cfg.n) for family in FAMILIES]
+        rules.append(calibrate("M1", 1.0, cfg.n))
+        first, correct, _ = classify_until_stop(cfg, rules, *_batch(cfg, 0, cfg.n_trials))
+        assert (first[-1] == -1).all()
+        if check_prior and probs[0] > cfg.tau:
+            assert (first[:, 0] == 0).any() and (first[:, 0] != 0).any()
+        for t in (0, 1, 517, 1023, 1024, 1099):
+            one_first, one_correct, _ = classify_until_stop(cfg, rules, *_batch(cfg, t, t + 1))
+            assert one_first[:, 0].tolist() == first[:, t].tolist(), t
+            assert one_correct[:, 0].tolist() == correct[:, t].tolist(), t
+            for r, rule in enumerate(rules):
+                out = run_trial(TrialConfig(
+                    prior=cfg.prior, true_index=cfg.true_index, rule=rule, model=cfg.model,
+                    scheme=scheme, max_sequences=cfg.max_sequences, seed=cfg.master_seed,
+                    trial_index=t, check_prior=check_prior))
+                stopped = first[r, t] >= 0
+                assert out.stopped_at == (first[r, t] if stopped else None), (t, r)
+                assert out.correct == (bool(correct[r, t]) if stopped else None), (t, r)
+
+
 class TestMemory:
     def test_sweep_memory_grows_only_by_the_stop_records(self):
         # a sweep keeps each trial's 8-byte first stop and 1-byte correctness

@@ -14,14 +14,16 @@ are loaded into one process.  Two config mixes are run:
 
 Both sides must give equal outcomes (stop, decision and path, bit for
 bit) on every call, or the script exits 1.  Then each round calls every
-config once on each side, alternating which side goes first, and the
-script prints the median call time of each side, their ratio (this
-checkout over the other) and the rounds each side won.  A shared CPU
+config once on each side, alternating which side goes first.  For the
+median call and for the 99th-percentile call of each round, the script
+prints each side's median over rounds, their ratio (this checkout over
+the other) and the rounds each side won.  A shared CPU
 moves whole-process benchmark runs by about 10%; calls interleaved in one
 process see the same machine, so a few rounds resolve a smaller change.
 
 ``--harness`` runs the batched loop instead, which shares ``read_cells``
-and the stop event with ``run_trial``: ``run_experiment`` on tables T3 and
+and the update with ``run_trial`` but stops slices of many trials by its
+own event: ``run_experiment`` on tables T3 and
 T4 at 5,000 trials, and the ``sweep_topn`` benchmark workload's sweep (the
 T3 prior and T4 model with top-3 querying, 5,000 trials of 40 sequences,
 48 rule-and-tau pairs).  Both sides must give equal stop records and sweep
@@ -99,8 +101,11 @@ def compare(mix: str, this, other, rounds: int) -> bool:
             return False
     times = alternate([(functools.partial(run_a, a), functools.partial(run_b, b))
                        for a, b in zip(cfgs_a, cfgs_b)], rounds)
-    medians = [[statistics.median(calls) for calls in side] for side in times]
-    report(f"{mix}: {len(cfgs_a)} calls a round, median call", medians, 1e6, "us")
+    # the inclusive method is numpy's default, which gives trial_p99_us
+    p99 = functools.partial(statistics.quantiles, n=100, method="inclusive")
+    for label, per_round in (("median", statistics.median), ("p99", lambda calls: p99(calls)[98])):
+        report(f"{mix}: {len(cfgs_a)} calls a round, {label} call",
+               [[per_round(calls) for calls in side] for side in times], 1e6, "us")
     return True
 
 
