@@ -12,6 +12,7 @@ files that rerun their own command byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -363,7 +364,11 @@ def _cmd_trajectories(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it takes
+    about twenty times as long as parsing a command line with it.  Each
+    parse fills a new namespace, so no command sees another's options."""
     parser = argparse.ArgumentParser(
         prog="rbc-stoplab",
         description="Recursive Bayesian classification with calibrated stopping rules",

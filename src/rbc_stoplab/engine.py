@@ -214,6 +214,11 @@ def _keyed_philox() -> type:
             return self.key
 
     class KeyedPhilox(np.random.Philox):
+        # the normals of the last trial a run_trial stream drew, as
+        # ((trial, n), [normals of half-chunk 0, 1, ...]); other streams
+        # keep none
+        kept = None
+
         def __init__(self, key: np.ndarray) -> None:
             super().__init__(KeySeed(key))
             state = self.state
@@ -237,8 +242,11 @@ def _thread_stream(thread: int, master_seed: int, block: int) -> np.random.Gener
     :func:`read_cells` positions a stream before every read, so a used
     stream reads as a fresh one.  Threads do not share a stream: another
     thread's positioning between one's positioning and its read would move
-    it."""
-    return trial_stream(master_seed, block)
+    it.  The stream also keeps the normals of the last trial it drew
+    (:func:`classify_until_stop`)."""
+    stream = trial_stream(master_seed, block)
+    stream.bit_generator.kept = (None, [])
+    return stream
 
 
 @functools.lru_cache(maxsize=64)
@@ -330,23 +338,32 @@ def trial_normals(master_seed: int, trial_index: int, n: int, sequences: int) ->
     return np.concatenate([np.empty((0, n)), *chunks])[:sequences]
 
 
+def _unqueried(scheme: TopN, probs: np.ndarray) -> np.ndarray:
+    """Indices of the classes that top-N querying leaves out along the last
+    axis of ``probs``: those past the first ``n_queries`` of one stable
+    descending sort, so ties go to the lowest index."""
+    return (-probs).argsort(-1, kind="stable")[..., scheme.n_queries:]
+
+
 def resolve_queried(scheme: QueryScheme, probs: np.ndarray) -> np.ndarray:
     """Boolean mask of queried classes along the last axis of ``probs``;
     top-N ties go to the lowest index."""
-    if isinstance(scheme, Broadcast):
-        return np.ones(probs.shape, dtype=bool)
-    # a class's rank is its position in the stable descending order
-    return (-probs).argsort(-1, kind="stable").argsort(-1) < scheme.n_queries
+    queried = np.ones(probs.shape, dtype=bool)
+    if isinstance(scheme, TopN):
+        np.put_along_axis(queried, _unqueried(scheme, probs), False, -1)
+    return queried
 
 
-def _evidence(model: EvidenceModel, true_index: int, z: np.ndarray) -> np.ndarray:
-    """Log evidence of every class, made in place of the standard normals
-    ``z`` of shape ``(..., n)``: the true class reads the positive channel,
-    the others the negative one: one scale and one shift per class."""
+def _evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
+              out: np.ndarray | None) -> np.ndarray:
+    """Log evidence of every class from the standard normals ``z`` of shape
+    ``(..., n)``, into ``out``: ``z`` itself to make it in place, None for a
+    new array.  The true class reads the positive channel, the others the
+    negative one: one scale and one shift per class."""
     sd, mu = model._channels(true_index, z.shape[-1])
-    z *= sd
-    z += mu
-    return z
+    out = np.multiply(z, sd, out)
+    out += mu
+    return out
 
 
 def log_evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
@@ -357,7 +374,7 @@ def log_evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
     classes the negative one, and unqueried classes get exactly 0;
     ``queried`` None queries every class.
     """
-    log_e = _evidence(model, true_index, np.array(z, dtype=float))
+    log_e = _evidence(model, true_index, np.asarray(z, dtype=float), None)
     if queried is not None:
         log_e[~queried] = 0.0
     return log_e
@@ -378,6 +395,12 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     batch, and the sines of its second half for the trials still in it.
     Each half's log evidence is made once, in place of its normals; a
     step's unqueried cells are zeroed as the step reads them.
+
+    A batch of one whose stream keeps normals (``run_trial``'s, see
+    :func:`_thread_stream`) reads each half it finds kept for its trial
+    and ``n`` instead of drawing it, and keeps each half it draws; a
+    different trial or ``n`` replaces them.  Its evidence is made out of
+    place, so the kept normals are never written.
 
     Each sequence updates every trial in the log domain and tests every
     rule on the new states (and on the priors with ``check_prior``).
@@ -413,6 +436,18 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     previous = live = None
     some_stopped = False
     states = [logp] if keep_states else None
+    # normals: the half-chunks of normals that a batch of one's stream keeps
+    # of its trial, in order from the first, None for a slice or a stream
+    # that keeps none
+    normals = None
+    if t_count == 1:
+        trial = trials.item(0)
+        bits = streams[trial // BLOCK].bit_generator
+        kept = bits.kept
+        if kept is not None:
+            if kept[0] != (trial, n):
+                kept = bits.kept = ((trial, n), [])
+            normals = kept[1]
     for s in range(cfg.max_sequences + 1):
         if s:
             chunk, step = divmod(s - 1, CHUNK)
@@ -423,14 +458,25 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
                 evidence = None
                 if not half:
                     polar = None
-                    polar, live = _polar(streams, trials, chunk, n), None
-                # a chunk's second half only for the trials still in the batch
-                evidence, live = _half_normals(polar, half, live), None
-                _evidence(cfg.model, cfg.true_index, evidence.transpose(0, 2, 1))
-            log_e = (evidence[step] if live is None else evidence[step].take(live, 1)).T
+                # halves run in order, so a trial's kept halves are the first ones
+                if normals is not None and 2 * chunk + half < len(normals):
+                    z = normals[2 * chunk + half]
+                else:
+                    if polar is None:
+                        polar, live = _polar(streams, trials, chunk, n), None
+                    # a chunk's second half only for the trials still in the batch
+                    z, live = _half_normals(polar, half, live), None
+                    if normals is not None:
+                        normals.append(z)
+                # evidence (CHUNK / 2, T, n), made out of kept normals and in
+                # place of others
+                z = z.transpose(0, 2, 1)
+                evidence = _evidence(cfg.model, cfg.true_index, z, z if normals is None else None)
+            log_e = evidence[step] if live is None else evidence[step].T.take(live, 1).T
             if not isinstance(cfg.scheme, Broadcast):
                 # only this step reads its cells, so they take its zeros in place
-                log_e[~resolve_queried(cfg.scheme, np.exp(logp))] = 0.0
+                unqueried = _unqueried(cfg.scheme, np.exp(logp))
+                log_e[np.arange(len(unqueried))[:, None], unqueried] = 0.0
             logp = _normalize_log_weights(logp + log_e)
             if keep_states:
                 states.append(logp)
@@ -488,9 +534,10 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     decision is read off the path's row at the stop, the state on which the
     loop tested it.
 
-    Each thread reuses its stream of a ``(seed, block)`` across calls, and
-    each prior is normalized for the loop once; both are kept in small
-    bounded caches.
+    Each thread reuses its stream of a ``(seed, block)`` across calls,
+    with the normals of the last trial it drew, so back-to-back calls on
+    one trial draw its normals once; each prior is normalized for the
+    loop once; both are kept in small bounded caches.
     """
     block = config.trial_index // BLOCK
     first, _, states = classify_until_stop(

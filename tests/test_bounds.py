@@ -25,7 +25,7 @@ from rbc_stoplab.criteria import (
     stop_cutoff,
     stop_statistic,
 )
-from rbc_stoplab.engine import EvidenceModel, TrialConfig, run_trial
+from rbc_stoplab.engine import Broadcast, EvidenceModel, TopN, TrialConfig, run_trial
 from rbc_stoplab.montecarlo import ExperimentConfig, run_experiment, trajectory_ensemble
 from rbc_stoplab.simplex import SimplexPoint
 
@@ -317,52 +317,62 @@ class TestHarnessAgainstBounds:
         assert cases == 54
 
 
-def first_passage(l0, drift, var, bound, sequences, check_prior, cells):
+def first_passage(l0, laws, bound, sequences, check_prior, cells):
     """P(first stop = s) and P(first stop = s, correct) for s = 0 to
-    ``sequences``, of a walk from ``l0`` with N(``drift``, ``var``) steps
-    that stops once |L| > ``bound``, correctly above it.
+    ``sequences``, of a walk from ``l0`` that stops once |L| > ``bound``,
+    correctly above it.  A step from L adds N(drift, var) of ``laws[0]``
+    where L >= 0 and of ``laws[1]`` where L < 0.
 
-    The walk on (-bound, bound) is held as ``cells`` cell masses.  Its
+    The walk on (-bound, bound) is held as ``cells`` cell masses; ``cells``
+    is even, so a grid edge sits at 0 and each cell takes one law.  The
     first step runs from the point ``l0``; later steps move each cell's
     mass from the cell's midpoint, so the masses carry an O(h**2) error.
     """
-    scale = math.sqrt(2.0 * var)  # the step's sd times sqrt(2), as erfc takes it
-
-    def above(x):  # P(step > x)
-        return 0.5 * math.erfc((x - drift) / scale)
-
-    def below(x):  # P(step < x)
-        return 0.5 * math.erfc((drift - x) / scale)
+    def tails(law):  # P(step > x) and P(step < x)
+        drift, var = law
+        scale = math.sqrt(2.0 * var)  # the step's sd times sqrt(2), as erfc takes it
+        return (lambda x: 0.5 * math.erfc((x - drift) / scale),
+                lambda x: 0.5 * math.erfc((drift - x) / scale))
 
     stop, right = np.zeros(sequences + 1), np.zeros(sequences + 1)
     if check_prior and abs(l0) > bound:
         stop[0], right[0] = 1.0, float(l0 > 0)
         return stop, right
+    assert cells % 2 == 0
     h = 2.0 * bound / cells
     edges = -bound + h * np.arange(cells + 1)
+    above, below = tails(laws[l0 < 0])
     tail = np.array([above(e - l0) for e in edges])
     mass = tail[:-1] - tail[1:]
     right[1] = above(bound - l0)
     stop[1] = right[1] + below(-bound - l0)
-    # the mass a midpoint moves to the cell d cells on, d = 1 - cells to cells - 1
-    tail = np.array([above((k - cells + 0.5) * h) for k in range(2 * cells)])
-    kernel = tail[:-1] - tail[1:]
     mids = edges[:-1] + h / 2
-    up = np.array([above(bound - x) for x in mids])
-    down = np.array([below(-bound - x) for x in mids])
+    sides = [mids >= 0, mids < 0]
+    up, down, kernels = np.zeros(cells), np.zeros(cells), []
+    for law, side in zip(laws, sides):
+        above, below = tails(law)
+        # the mass a midpoint moves to the cell d cells on, d = 1 - cells to cells - 1
+        tail = np.array([above((k - cells + 0.5) * h) for k in range(2 * cells)])
+        kernels.append(tail[:-1] - tail[1:])
+        up[side] = [above(bound - x) for x in mids[side]]
+        down[side] = [below(-bound - x) for x in mids[side]]
     for s in range(2, sequences + 1):
         right[s] = mass @ up
         stop[s] = right[s] + mass @ down
-        mass = np.convolve(mass, kernel)[cells - 1:2 * cells - 1]
+        mass = sum(np.convolve(np.where(side, mass, 0.0), kernel)[cells - 1:2 * cells - 1]
+                   for side, kernel in zip(sides, kernels))
     return stop, right
 
 
 class TestFirstPassage:
-    """At n = 2 under broadcast querying, the log-odds L = log p_true -
-    log p_other is a Gaussian random walk: each sequence adds
-    N(mu_pos - mu_neg, c_pos**2 + c_neg**2).  M1 stops once |L| >
-    logit(tau), correctly when L > 0 there, so its whole first-passage law
-    follows from a 1-D Chapman-Kolmogorov recursion (:func:`first_passage`).
+    """At n = 2, the log-odds L = log p_true - log p_other is a Gaussian
+    random walk.  Under broadcast querying each sequence adds N(mu_pos -
+    mu_neg, c_pos**2 + c_neg**2).  Under top-1 querying only the leader is
+    queried (the true class on a tie), so the step depends on the sign of
+    L: N(mu_pos, c_pos**2) when L >= 0, and -N(mu_neg, c_neg**2) when L <
+    0.  M1 stops once |L| > logit(tau), correctly when L > 0 there, so its
+    whole first-passage law follows from a 1-D Chapman-Kolmogorov
+    recursion (:func:`first_passage`).
 
     The share of trials that first stop at each s, and first stop
     correctly there, must lie within 5 binomial standard errors of the
@@ -382,25 +392,51 @@ class TestFirstPassage:
 
     TAU, MODEL, SEQUENCES = 0.9, EvidenceModel(0.6, 0.8, 0.0, 0.5), 12
 
-    def oracle(self, probs, check_prior, trials):
+    def laws(self, scheme):
+        m = self.MODEL
+        if isinstance(scheme, TopN):
+            return (m.mu_pos, m.c_pos ** 2), (-m.mu_neg, m.c_neg ** 2)
+        law = (m.mu_pos - m.mu_neg, m.c_pos ** 2 + m.c_neg ** 2)
+        return law, law
+
+    def oracle(self, probs, check_prior, scheme, trials):
         l0 = math.log(probs[0]) - math.log(probs[1])
-        var = self.MODEL.c_pos ** 2 + self.MODEL.c_neg ** 2
-        args = (l0, self.MODEL.mu_pos - self.MODEL.mu_neg, var,
-                math.log(self.TAU / (1.0 - self.TAU)), self.SEQUENCES, check_prior)
+        args = (l0, self.laws(scheme), math.log(self.TAU / (1.0 - self.TAU)), self.SEQUENCES,
+                check_prior)
         coarse, fine = first_passage(*args, 1100), first_passage(*args, 2200)
         for p, q in zip(coarse, fine):
             assert np.all(np.abs(p - q) <= 0.01 * np.sqrt(q * (1.0 - q) / trials))
         return fine
 
-    def assert_matches(self, first, correct, probs, check_prior):
+    def assert_matches(self, first, correct, probs, check_prior, scheme=Broadcast()):
         trials = len(first)
-        stop, right = self.oracle(probs, check_prior, trials)
+        stop, right = self.oracle(probs, check_prior, scheme, trials)
         for s in range(self.SEQUENCES + 1):
             at_s = first == s
             for share, p, what in ((at_s.mean(), stop[s], "stop"),
                                    ((at_s & correct).mean(), right[s], "correct stop")):
                 bound = 5.0 * math.sqrt(p * (1.0 - p) / trials) + (0.0 < p < 1.0) / trials
                 assert abs(share - p) <= bound, (probs, check_prior, s, what, share, p)
+
+    def harness(self, probs, check_prior, scheme):
+        cfg = ExperimentConfig(n=2, prior=sp(probs), tau=self.TAU, methods=("M1",),
+                               model=self.MODEL, scheme=scheme, n_trials=200_000,
+                               max_sequences=self.SEQUENCES, master_seed=1,
+                               check_prior=check_prior)
+        result = run_experiment(cfg)
+        self.assert_matches(result.first_stop[0], result.stop_correct[0], probs, check_prior,
+                            scheme)
+
+    def single_trials(self, probs, check_prior, scheme):
+        rule = calibrate("M1", self.TAU, 2)
+        outcomes = [run_trial(TrialConfig(prior=sp(probs), true_index=0, rule=rule,
+                                          model=self.MODEL, scheme=scheme,
+                                          max_sequences=self.SEQUENCES, seed=1, trial_index=t,
+                                          check_prior=check_prior))
+                    for t in range(5000)]
+        first = np.array([-1 if o.stopped_at is None else o.stopped_at for o in outcomes])
+        self.assert_matches(first, np.array([bool(o.correct) for o in outcomes]), probs,
+                            check_prior, scheme)
 
     # priors outside the stop region, inside it on the true class's side,
     # and inside it on the competitor's
@@ -409,23 +445,19 @@ class TestFirstPassage:
 
     @pytest.mark.parametrize("probs, check_prior", CASES)
     def test_harness_first_stops_follow_the_walk(self, probs, check_prior):
-        cfg = ExperimentConfig(n=2, prior=sp(probs), tau=self.TAU, methods=("M1",),
-                               model=self.MODEL, n_trials=200_000,
-                               max_sequences=self.SEQUENCES, master_seed=1,
-                               check_prior=check_prior)
-        result = run_experiment(cfg)
-        self.assert_matches(result.first_stop[0], result.stop_correct[0], probs, check_prior)
+        self.harness(probs, check_prior, Broadcast())
 
     @pytest.mark.parametrize("probs, check_prior", CASES)
     def test_single_trial_first_stops_follow_the_walk(self, probs, check_prior):
-        rule = calibrate("M1", self.TAU, 2)
-        outcomes = [run_trial(TrialConfig(prior=sp(probs), true_index=0, rule=rule,
-                                          model=self.MODEL, max_sequences=self.SEQUENCES,
-                                          seed=1, trial_index=t, check_prior=check_prior))
-                    for t in range(5000)]
-        first = np.array([-1 if o.stopped_at is None else o.stopped_at for o in outcomes])
-        self.assert_matches(first, np.array([bool(o.correct) for o in outcomes]), probs,
-                            check_prior)
+        self.single_trials(probs, check_prior, Broadcast())
+
+    @pytest.mark.parametrize("probs, check_prior", CASES)
+    def test_harness_top1_first_stops_follow_the_signed_walk(self, probs, check_prior):
+        self.harness(probs, check_prior, TopN(1))
+
+    @pytest.mark.parametrize("probs, check_prior", CASES)
+    def test_single_trial_top1_first_stops_follow_the_signed_walk(self, probs, check_prior):
+        self.single_trials(probs, check_prior, TopN(1))
 
 
 class TestFalseStopProbability:

@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from rbc_stoplab import cli
 from rbc_stoplab.cli import main, parse_config_file
 from rbc_stoplab.engine import RNG_LAYOUT
+from rbc_stoplab.montecarlo import letters_projection
 
 
 GOOD_CONFIG = """\
@@ -557,3 +559,52 @@ class TestManifestReruns:
         assert main(["sweep", write_config(tmp_path, cfg), "--tau-list", "0.7"]) == 0
         assert main(["simulate", str(out_dir / "manifest.txt")]) == 2
         assert "unknown key 'tau_list'" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; what one call gives must
+    not become a default of the next."""
+
+    SEQUENCE = [
+        ["letters", "--acc", "0.9", "--eseq", "15.44", "--total", "7", "--literal-pseudocode"],
+        ["letters", "--acc", "0.9", "--eseq", "15.44"],
+        ["table", "T3", "--trials", "9", "--seed", "4", "--out-dir", "x"],
+        ["table", "T2"],
+        ["boundary", "MP", "--tau", "0.7", "--resolution", "12", "--out-dir", "y"],
+        ["boundary", "M1", "--tau", "0.8"],
+        ["sweep", "a.cfg", "--tau-list", "0.7"],
+        ["sweep", "b.cfg"],
+        ["bounds", "c.cfg", "--s-range", "1:3"],
+        ["bounds", "c.cfg"],
+        ["trajectories", "d.cfg", "--paths", "3"],
+        ["trajectories", "d.cfg"],
+        ["simulate", "e.cfg"],
+        ["letters", "--acc", "0.8", "--eseq", "3"],
+    ]
+
+    def test_parses_equal_a_fresh_parser(self):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        for argv in self.SEQUENCE:
+            fresh = cli._build_parser.__wrapped__().parse_args(argv)
+            assert vars(parser.parse_args(argv)) == vars(fresh), argv
+
+    def test_successive_calls_keep_their_own_options(self, tmp_path, capsys):
+        def boundary_rows(argv):
+            assert main(argv) == 0
+            with open(tmp_path / "boundary_M1.csv", encoding="utf-8") as fh:
+                return fh.read()
+
+        assert main(["letters", "--acc", "0.9", "--eseq", "15.44", "--total", "7",
+                     "--literal-pseudocode"]) == 0
+        assert main(["letters", "--acc", "0.9", "--eseq", "15.44"]) == 0
+        given, default = capsys.readouterr().out.split()
+        assert given == format(letters_projection(0.9, 15.44, total_letters=7, literal=True),
+                               ".10g")
+        assert default == format(letters_projection(0.9, 15.44), ".10g")
+        out = ["--out-dir", str(tmp_path)]
+        coarse = boundary_rows(["boundary", "M1", "--tau", "0.8", "--resolution", "12", *out])
+        full = boundary_rows(["boundary", "M1", "--tau", "0.8", *out])
+        assert full != coarse
+        assert boundary_rows(["boundary", "M1", "--tau", "0.8", "--resolution", "200",
+                              *out]) == full

@@ -1,5 +1,6 @@
 """Trial loop: evidence sampling, determinism, stop/censor behavior."""
 
+import functools
 import gc
 import hashlib
 import math
@@ -25,6 +26,7 @@ from rbc_stoplab.engine import (
     TrialConfig,
     TrialOutcome,
     _log_prior,
+    _thread_stream,
     draw_normals,
     log_evidence,
     read_cells,
@@ -463,22 +465,127 @@ class TestStreamReuse:
                     path.append(logp)
                 assert out.log_probs.tobytes() == np.concatenate(path).tobytes(), where
 
+    # Calls for the kept-normals tests: two seeds, trials of two blocks
+    # around the block edge, n from 2 to 10, broadcast and every top-N,
+    # every rule, horizons that use one or both halves of up to 3 chunks,
+    # and the prior check on and off.
+    SEEDS, TRIALS, WIDTHS = (3, 2**63 + 5), (0, 1, 600, 1022, 1023, 1024, 1025, 1099), (2, 3, 5, 10)
+
+    @staticmethod
+    def call(seed, t, n, queries, family, max_sequences, check_prior):
+        """The ``TrialConfig`` of one call; ``queries`` 0 is broadcast."""
+        return TrialConfig(prior=sp(np.arange(n + 1.0, 1.0, -1.0)), true_index=0,
+                           rule=calibrate(family, 0.8, n), model=NOISY,
+                           scheme=TopN(queries) if queries else Broadcast(),
+                           max_sequences=max_sequences, seed=seed, trial_index=t,
+                           check_prior=check_prior)
+
+    @staticmethod
+    @functools.cache
+    def harness(seed, n, queries, check_prior):
+        cfg = TestStreamReuse.call(seed, 0, n, queries, "M1", 20, check_prior)
+        return run_experiment(ExperimentConfig(
+            n=n, prior=cfg.prior, tau=0.8, methods=FAMILIES, model=NOISY, scheme=cfg.scheme,
+            n_trials=1100, max_sequences=20, master_seed=seed, check_prior=check_prior))
+
+    @staticmethod
+    def fresh(cfg):
+        """``run_trial``'s outcome from a stream that has run nothing."""
+        _thread_stream.cache_clear()
+        return run_trial(cfg)
+
+    def assert_outcome(self, args, outcome, fresh):
+        cfg = self.call(*args)
+        harness = self.harness(cfg.seed, cfg.prior.n, args[3], cfg.check_prior)
+        row = FAMILIES.index(cfg.rule.family)
+        first = int(harness.first_stop[row, cfg.trial_index])
+        assert outcome.stopped_at == (first if 0 <= first <= cfg.max_sequences else None), args
+        if outcome.stopped_at is not None:
+            assert outcome.correct == bool(harness.stop_correct[row, cfg.trial_index]), args
+        assert outcome == fresh, args
+
+    @st.composite
+    def call_sequences(draw):
+        # a few (seed, trial, n) subjects, so that calls come back to a trial
+        # right away or after others
+        subjects = draw(st.lists(st.tuples(st.sampled_from(TestStreamReuse.SEEDS),
+                                           st.sampled_from(TestStreamReuse.TRIALS),
+                                           st.sampled_from(TestStreamReuse.WIDTHS)),
+                                 min_size=1, max_size=3))
+        calls = []
+        for _ in range(draw(st.integers(1, 10))):
+            seed, t, n = draw(st.sampled_from(subjects))
+            calls.append((seed, t, n, draw(st.integers(0, n)), draw(st.sampled_from(FAMILIES)),
+                          draw(st.integers(1, 20)), draw(st.booleans())))
+        return calls
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(call_sequences())
+    def test_outcomes_do_not_depend_on_earlier_calls(self, calls):
+        # each call's outcome equals a fresh call's and the harness's stop
+        # records, whatever its thread ran before
+        expected = [self.fresh(self.call(*args)) for args in calls]
+        _thread_stream.cache_clear()
+        for args, fresh in zip(calls, expected):
+            self.assert_outcome(args, run_trial(self.call(*args)), fresh)
+
+    def test_two_threads_interleaving_calls_give_fresh_outcomes(self):
+        # two threads at once run back-to-back calls on trials of one (seed,
+        # block), each returning to trials that the other also reads, under
+        # both schemes and several widths
+        calls = [(3, t, n, queries, family, 20, True)
+                 for t in (1022, 1023) for n in (3, 5) for queries in (0, 1)
+                 for family in FAMILIES]
+        expected = {args: self.fresh(self.call(*args)) for args in calls}
+        workers, rounds = 2, 3
+        results = {}
+        start = threading.Barrier(workers)
+
+        def work(k):
+            order = calls[::-1] if k else calls
+            start.wait(timeout=30)
+            results[k] = [(args, run_trial(self.call(*args)))
+                          for _ in range(rounds) for args in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(workers):
+            assert len(results[k]) == rounds * len(calls)
+            for args, outcome in results[k]:
+                self.assert_outcome(args, outcome, expected[args])
+
     def test_caches_stay_bounded(self, monkeypatch):
-        # streams, the states they hold and priors that run_trial keeps,
-        # counted among live objects; the harness's streams, one per block
-        # of each slice, and their states are dropped with the slice
+        # streams, the states they hold, the half-chunks of normals they
+        # keep and priors that run_trial keeps, counted among live objects;
+        # the harness's streams, one per block of each slice, and their
+        # states are dropped with the slice, and keep no normals
         def live():
             gc.collect()
             objects = gc.get_objects()
             return np.array([sum(isinstance(o, kind) for o in objects)
                              for kind in (np.random.Generator, SimplexPoint)]
-                            + [sum(isinstance(o, dict) and "bit_generator" in o for o in objects)])
+                            + [sum(isinstance(o, dict) and "bit_generator" in o for o in objects),
+                               sum(len(o.kept[1]) for o in objects
+                                   if isinstance(o, np.random.Philox) and o.kept is not None)])
 
         monkeypatch.setattr(montecarlo, "SLICE", BLOCK)
         before = live()
         for seed in range(1000):
             prior = sp([1.0 + seed, 2.0, 3.0])
-            run_trial(replace(self.configs(seed, 1)[0], prior=prior, max_sequences=1))
+            # two trials of up to two chunks: a stream keeps the last one's
+            # halves, at most 4, so 16 streams keep at most 64
+            for t in (0, 1):
+                run_trial(replace(self.configs(seed, 1)[0], prior=prior, trial_index=t,
+                                  rule=calibrate("M1", 1.0, 3), max_sequences=1 + seed % 16))
             if seed % 100 == 0:
                 run_experiment(ExperimentConfig(
                     n=3, prior=prior, tau=0.8, methods=("M1",), model=NOISY,

@@ -5,12 +5,20 @@
 ``OTHER_SRC`` is the ``src`` directory of another checkout, for example
 of the parent commit unpacked with ``git archive``.  This checkout's
 package and a copy of the other one, imported as ``rbc_stoplab_other``,
-are loaded into one process.  Two config mixes are run:
+are loaded into one process.  Three config mixes are run:
 
 * ``scalar_geometry``: the benchmark workload's mix, every rule on the T2
   prior and model at tau 0.8 and 30 sequences, under broadcast and top-2
-  querying, trials 0 to 399;
-* ``probes``: every rule of tables T2 and T3 on 300 sampled trials each.
+  querying, trials 0 to 399, trial-major as the workload calls them, so a
+  trial's calls after its first read the normals that its thread's stream
+  keeps;
+* ``probes``: every rule of tables T2 and T3 on 300 sampled trials each,
+  rule-major as the benchmark's table probes, so no call finds its
+  trial's normals kept;
+* ``sweep_probes``: every rule of the ``sweep_topn`` workload's probe
+  config (the T3 prior and T4 model, n = 10, top-3 querying, 40
+  sequences, tau 0.9) on 600 sampled trials, rule-major: calls that span
+  several chunks and never find their normals kept.
 
 Both sides must give equal outcomes (stop, decision and path, bit for
 bit) on every call, or the script exits 1.  Then each round calls every
@@ -72,15 +80,21 @@ def configs(pkg, mix: str, seed: int) -> list:
                                    scheme=scheme, max_sequences=30, seed=seed, trial_index=t)
                 for scheme in (engine.Broadcast(), engine.TopN(2))
                 for t in range(400) for family in families]
+    if mix == "probes":
+        cfgs = [(montecarlo.table_config(table, master_seed=seed), 300) for table in ("T2", "T3")]
+    else:
+        t3, t4 = montecarlo.table_config("T3"), montecarlo.table_config("T4")
+        cfgs = [(montecarlo.ExperimentConfig(
+            n=t3.n, prior=t3.prior, tau=max(SWEEP_TAUS), methods=families, model=t4.model,
+            scheme=engine.TopN(3), n_trials=5000, max_sequences=40, master_seed=seed), 600)]
     out = []
-    for table in ("T2", "T3"):
-        cfg = montecarlo.table_config(table, master_seed=seed)
-        trials = random.Random(seed).sample(range(cfg.n_trials), 300)
+    for cfg, count in cfgs:
+        trials = random.Random(seed).sample(range(cfg.n_trials), count)
         out += [engine.TrialConfig(prior=cfg.prior, true_index=cfg.true_index,
                                    rule=calibrate(family, cfg.tau, cfg.n), model=cfg.model,
                                    scheme=cfg.scheme, max_sequences=cfg.max_sequences,
                                    seed=seed, trial_index=t)
-                for t in trials for family in cfg.methods]
+                for family in cfg.methods for t in trials]
     return out
 
 
@@ -190,7 +204,7 @@ def main(argv=None) -> int:
     if args.harness:
         return 0 if compare_harness(this, other, args.seed, args.rounds) else 1
     ok = True
-    for mix in ("scalar_geometry", "probes"):
+    for mix in ("scalar_geometry", "probes", "sweep_probes"):
         ok &= compare(mix, (this.engine.run_trial, configs(this, mix, args.seed)),
                       (other.engine.run_trial, configs(other, mix, args.seed)), args.rounds)
     return 0 if ok else 1
