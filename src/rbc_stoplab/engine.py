@@ -119,6 +119,18 @@ RNG_LAYOUT = f"philox-block{BLOCK}-chunk{CHUNK}"
 
 @dataclass(frozen=True, slots=True)
 class TrialConfig:
+    """One trial of the classify-until-stop loop (:func:`run_trial`).
+
+    The trial's path of log states depends on ``seed``, ``trial_index``,
+    ``prior``, ``true_index``, ``model`` (bit for bit: equal models may
+    differ in a zero's sign) and ``scheme`` only.  ``rule``,
+    ``max_sequences`` and ``check_prior`` decide where on the path the
+    trial stops, not the path itself, so calls that differ only in those
+    read one path, which a thread's back-to-back calls on a trial reuse:
+    its stream keeps the path of its last trial under those six fields,
+    the prior and model held by identity.
+    """
+
     prior: SimplexPoint
     true_index: int
     rule: StoppingRule
@@ -214,9 +226,9 @@ def _keyed_philox() -> type:
             return self.key
 
     class KeyedPhilox(np.random.Philox):
-        # the normals of the last trial a run_trial stream drew, as
-        # ((trial, n), [normals of half-chunk 0, 1, ...]); other streams
-        # keep none
+        # the last trial a run_trial stream ran, as [(trial, n), [normals of
+        # half-chunk 0, 1, ...], path key, [log states from the prior]]
+        # (classify_until_stop); other streams keep none
         kept = None
 
         def __init__(self, key: np.ndarray) -> None:
@@ -242,10 +254,10 @@ def _thread_stream(thread: int, master_seed: int, block: int) -> np.random.Gener
     :func:`read_cells` positions a stream before every read, so a used
     stream reads as a fresh one.  Threads do not share a stream: another
     thread's positioning between one's positioning and its read would move
-    it.  The stream also keeps the normals of the last trial it drew
-    (:func:`classify_until_stop`)."""
+    it.  The stream also keeps the normals and the path of log states of
+    the last trial it ran (:func:`classify_until_stop`)."""
     stream = trial_stream(master_seed, block)
-    stream.bit_generator.kept = (None, [])
+    stream.bit_generator.kept = [None, [], None, None]
     return stream
 
 
@@ -311,13 +323,16 @@ def _polar(streams: dict, trials: np.ndarray, chunk: int, n: int) -> tuple[np.nd
     return radius, angle
 
 
-def _half_normals(polar: tuple, half: int, live: np.ndarray | None = None) -> np.ndarray:
+def _half_normals(polar: tuple, half: int, live: np.ndarray | None = None,
+                  keep: bool = False) -> np.ndarray:
     """The normals ``(CHUNK / 2, n, T)`` of half ``half`` of a chunk from its
     :func:`_polar` output: cosines for the first half, sines for the second;
-    ``live`` (None for all) picks the trial columns to compute."""
+    ``live`` (None for all) picks the trial columns to compute.  The sines
+    take the angles' place, as no later half reads them, unless ``keep``:
+    normals to be kept must own their memory, not hold their chunk's
+    uniforms."""
     radius, angle = polar if live is None else (part.take(live, 2) for part in polar)
-    # the sines take the angles' place: no later half reads them
-    z = np.sin(angle, out=angle) if half else np.cos(angle)
+    z = np.sin(angle, out=None if keep else angle) if half else np.cos(angle)
     z *= radius
     return z
 
@@ -396,11 +411,17 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     Each half's log evidence is made once, in place of its normals; a
     step's unqueried cells are zeroed as the step reads them.
 
-    A batch of one whose stream keeps normals (``run_trial``'s, see
+    A batch of one whose stream keeps its last trial (``run_trial``'s, see
     :func:`_thread_stream`) reads each half it finds kept for its trial
     and ``n`` instead of drawing it, and keeps each half it draws; a
     different trial or ``n`` replaces them.  Its evidence is made out of
-    place, so the kept normals are never written.
+    place, so the kept normals are never written.  Such a stream also
+    keeps the trial's path of log states, which depends on nothing else
+    but the prior's log weights and the model, held by identity (equal
+    models may differ in a zero's sign), and the true class and scheme:
+    while the same path applies, its states are read back instead of
+    updated, the stop tests run on them as on new ones, and the update
+    resumes at the path's end, mid-half if need be, appending its states.
 
     Each sequence updates every trial in the log domain and tests every
     rule on the new states (and on the priors with ``check_prior``).
@@ -416,9 +437,9 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     Returns ``first`` and ``correct`` ``(R, T)``: each rule's first stop,
     -1 if it never stopped, and whether the argmax decision there (lowest
     index on ties) is the true class, False if it never stopped.
-    ``keep_states`` also returns the log states, one ``(T_s, n)`` array per
-    state for the trials still in the batch; with no rules, that is every
-    trial.
+    ``keep_states`` also returns the log states up to the last stop, one
+    ``(T_s, n)`` array per state for the trials still in the batch; with
+    no rules, that is every trial.
     """
     t_count, n = log_priors.shape
     first = np.empty((len(rules), t_count), int)
@@ -428,44 +449,53 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     pending = ~correct
     hits = np.empty(pending.shape, bool)
     keys = [rule.statistic_key for rule in rules]
-    plan = dict(zip(keys, rules))
+    # each distinct statistic's rule, and the dict its values are written to
+    # each sequence: a comprehension would make a function call of each fill
+    plan, statistics = list(dict(zip(keys, rules)).items()), {}
     tests = [(key, *stop_test(rule)) for key, rule in zip(keys, rules)]
     logp = log_priors
     # live: the trial columns of the evidence that belong to the batch's
     # trials, None while all of them do
-    previous = live = None
+    previous = live = polar = None
     some_stopped = False
     states = [logp] if keep_states else None
     # normals: the half-chunks of normals that a batch of one's stream keeps
     # of its trial, in order from the first, None for a slice or a stream
-    # that keeps none
-    normals = None
+    # that keeps none; resume: the first state made, not read back from states
+    normals, resume = None, 1
     if t_count == 1:
         trial = trials.item(0)
         bits = streams[trial // BLOCK].bit_generator
         kept = bits.kept
         if kept is not None:
             if kept[0] != (trial, n):
-                kept = bits.kept = ((trial, n), [])
-            normals = kept[1]
+                kept = bits.kept = [(trial, n), [], None, None]
+            held = kept[2]
+            if (held is None or held[0] is not logp or held[1] is not cfg.model
+                    or held[2] != cfg.true_index or held[3] != cfg.scheme):
+                kept[2:] = (logp, cfg.model, cfg.true_index, cfg.scheme), [logp]
+            normals, states = kept[1], kept[3]
+            resume = len(states)
+    # made: the half-chunk whose evidence the loop holds
+    made = -1
     for s in range(cfg.max_sequences + 1):
-        if s:
-            chunk, step = divmod(s - 1, CHUNK)
-            half, step = divmod(step, CHUNK // 2)
-            if not step:
+        if s >= resume:
+            h, step = divmod(s - 1, CHUNK // 2)
+            if h != made:
                 # spent evidence, and at a new chunk the spent polar, are
                 # freed before the next is made
-                evidence = None
+                made, evidence = h, None
+                chunk, half = divmod(h, 2)
                 if not half:
                     polar = None
                 # halves run in order, so a trial's kept halves are the first ones
-                if normals is not None and 2 * chunk + half < len(normals):
-                    z = normals[2 * chunk + half]
+                if normals is not None and h < len(normals):
+                    z = normals[h]
                 else:
                     if polar is None:
                         polar, live = _polar(streams, trials, chunk, n), None
                     # a chunk's second half only for the trials still in the batch
-                    z, live = _half_normals(polar, half, live), None
+                    z, live = _half_normals(polar, half, live, keep=normals is not None), None
                     if normals is not None:
                         normals.append(z)
                 # evidence (CHUNK / 2, T, n), made out of kept normals and in
@@ -478,11 +508,14 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
                 unqueried = _unqueried(cfg.scheme, np.exp(logp))
                 log_e[np.arange(len(unqueried))[:, None], unqueried] = 0.0
             logp = _normalize_log_weights(logp + log_e)
-            if keep_states:
+            if states is not None:
                 states.append(logp)
+        elif s:
+            logp = states[s]
         if not rules or not (s or cfg.check_prior):
             continue
-        statistics = {key: stop_statistic(rule, logp, previous) for key, rule in plan.items()}
+        for key, rule in plan:
+            statistics[key] = stop_statistic(rule, logp, previous)
         # the tests first: zip then stops without asking the mask for a row
         # past its end, which numpy answers with a costly IndexError
         for (key, compare, cutoff), hit in zip(tests, hits):
@@ -519,7 +552,7 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
             live = keep.nonzero()[0] if live is None else live[keep]
             # indexing would return the kept states row-major
             logp = previous = logp.T.compress(keep, 1).T
-    return first, correct, states
+    return first, correct, states[:s + 1] if keep_states else None
 
 
 def run_trial(config: TrialConfig) -> TrialOutcome:
@@ -535,9 +568,11 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     loop tested it.
 
     Each thread reuses its stream of a ``(seed, block)`` across calls,
-    with the normals of the last trial it drew, so back-to-back calls on
-    one trial draw its normals once; each prior is normalized for the
-    loop once; both are kept in small bounded caches.
+    with the normals and the path of log states of the last trial it ran,
+    so back-to-back calls on one trial draw its normals once, and those
+    that share its path (see :class:`TrialConfig`) update it once; each
+    prior is normalized for the loop once; both are kept in small bounded
+    caches.
     """
     block = config.trial_index // BLOCK
     first, _, states = classify_until_stop(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbc_stoplab.bounds import BoundQuery, min_sequences_constant_evidence
-from rbc_stoplab import montecarlo
+from rbc_stoplab import engine, montecarlo
 from rbc_stoplab.criteria import FAMILIES, calibrate
 from rbc_stoplab.engine import (
     BLOCK,
@@ -27,6 +27,7 @@ from rbc_stoplab.engine import (
     TrialOutcome,
     _log_prior,
     _thread_stream,
+    classify_until_stop,
     draw_normals,
     log_evidence,
     read_cells,
@@ -563,26 +564,175 @@ class TestStreamReuse:
             for args, outcome in results[k]:
                 self.assert_outcome(args, outcome, expected[args])
 
+    # Calls for the kept-path tests: one (seed, trial, n) each, so that every
+    # call comes back to the trial of the call before.  The priors of each
+    # width fall, give the last class no mass, or sit on the vertex of class
+    # 0 with a log weight of -0.0; the models are noisy, or all zero
+    # channels of either sign, which compare equal but carry their zeros'
+    # sign into the path through that vertex.  The rules are the seven
+    # families at tau 0.8 and M1 at tau 1, which never stops.
+    MODELS = (NOISY, EvidenceModel(0.0, 0.0, 0.0, 0.0), EvidenceModel(-0.0, -0.0, -0.0, -0.0))
+    HORIZON = 24  # 3 chunks
+
+    @staticmethod
+    @functools.cache
+    def priors(n):
+        return (sp(np.arange(n + 1.0, 1.0, -1.0)), sp([*np.arange(n, 1.0, -1.0), 0.0]),
+                SimplexPoint(np.array([-0.0] + [-np.inf] * (n - 1))))
+
+    @staticmethod
+    @functools.cache
+    def rules(n):
+        return (*(calibrate(family, 0.8, n) for family in FAMILIES), calibrate("M1", 1.0, n))
+
+    @staticmethod
+    def path_call(seed, t, n, prior, true_index, model, queries, rule, max_sequences,
+                  check_prior):
+        """The ``TrialConfig`` of one call, by index into the priors, models
+        and rules; ``queries`` 0 is broadcast."""
+        return TrialConfig(prior=TestStreamReuse.priors(n)[prior], true_index=true_index,
+                           rule=TestStreamReuse.rules(n)[rule],
+                           model=TestStreamReuse.MODELS[model],
+                           scheme=TopN(queries) if queries else Broadcast(),
+                           max_sequences=max_sequences, seed=seed, trial_index=t,
+                           check_prior=check_prior)
+
+    @staticmethod
+    @functools.cache
+    def slice_records(seed, t, n, prior, true_index, model, queries, check_prior):
+        """Every rule's first stop and correctness on trial ``t`` as the
+        harness records them, from its slice of trials ``t`` and ``t + 1``."""
+        cfg = TestStreamReuse.path_call(seed, t, n, prior, true_index, model, queries, 0,
+                                        TestStreamReuse.HORIZON, check_prior)
+        experiment = ExperimentConfig(
+            n=n, prior=cfg.prior, tau=0.8, methods=FAMILIES, model=cfg.model,
+            true_index=true_index, scheme=cfg.scheme, n_trials=t + 2,
+            max_sequences=TestStreamReuse.HORIZON, master_seed=seed, check_prior=check_prior)
+        first, correct, _ = classify_until_stop(experiment, TestStreamReuse.rules(n),
+                                                *montecarlo._batch(experiment, t, t + 2))
+        return first[:, 0], correct[:, 0]
+
+    @st.composite
+    def one_trial_sequences(draw):
+        # one (seed, trial, n); each call keeps the path key (prior, true
+        # class, model, scheme) of the call before, half the time, or
+        # changes one part of it, so that calls come back to a path or move
+        # to one that differs in one part
+        seed = draw(st.sampled_from(TestStreamReuse.SEEDS))
+        t = draw(st.sampled_from(TestStreamReuse.TRIALS))
+        n = draw(st.sampled_from((2, 3, 5)))
+        parts = (st.integers(0, 2), st.integers(0, n - 1),
+                 st.integers(0, len(TestStreamReuse.MODELS) - 1), st.integers(0, n))
+        key = [draw(part) for part in parts]
+        calls = []
+        for _ in range(draw(st.integers(2, 8))):
+            part = draw(st.integers(0, 2 * len(parts) - 1))
+            if part < len(parts):
+                key[part] = draw(parts[part])
+            calls.append((seed, t, n, *key, draw(st.integers(0, len(FAMILIES))),
+                          draw(st.integers(1, TestStreamReuse.HORIZON)), draw(st.booleans())))
+        return calls
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(one_trial_sequences())
+    def test_calls_on_one_trial_give_fresh_outcomes(self, calls):
+        # back-to-back calls on one trial that change the prior, true class,
+        # model, scheme, rule, prior check or horizon, so that a kept path is
+        # replayed, extended mid-half or across chunks, or replaced; each
+        # outcome equals a fresh call's and the harness's stop record
+        expected = [self.fresh(self.path_call(*args)) for args in calls]
+        _thread_stream.cache_clear()
+        for args, fresh in zip(calls, expected):
+            cfg = self.path_call(*args)
+            outcome = run_trial(cfg)
+            assert outcome == fresh, args
+            seed, t, n, prior, true_index, model, queries, rule, sequences, check_prior = args
+            first, correct = self.slice_records(seed, t, n, prior, true_index, model, queries,
+                                                check_prior)
+            stop = int(first[rule])
+            assert outcome.stopped_at == (stop if 0 <= stop <= sequences else None), args
+            if outcome.stopped_at is not None:
+                assert outcome.correct == bool(correct[rule]), args
+
+    def test_equal_models_keep_their_own_paths(self):
+        # the all-zero models compare equal, but from the vertex prior's -0.0
+        # their paths differ in a zero's sign wherever the vertex class draws
+        # a positive normal; a call under one must not replay the other's
+        t = next(t for t in range(100) if trial_normals(3, t, 3, 1)[0, 0] > 0)
+        calls = [(3, t, 3, 2, 0, model, 0, 7, 8, True) for model in (1, 2, 1)]
+        assert self.MODELS[1] == self.MODELS[2]
+        expected = [self.fresh(self.path_call(*args)) for args in calls]
+        assert expected[0].log_probs.tobytes() != expected[1].log_probs.tobytes()
+        _thread_stream.cache_clear()
+        for args, fresh in zip(calls, expected):
+            assert run_trial(self.path_call(*args)) == fresh, args
+
+    def test_later_calls_replay_the_kept_path(self, monkeypatch):
+        # calls on one trial that share its path run only the updates past
+        # the states that the calls before them made; another scheme starts
+        # a new path, and so does coming back to the first one
+        calls = [(3, 1023, 3, 0, 0, 0, queries, rule, sequences, True)
+                 for queries, rule, sequences in [(0, 7, 6), (0, 0, 24), (0, 7, 14), (0, 7, 24),
+                                                  (0, 4, 24), (1, 7, 10), (0, 7, 5)]]
+        expected = [self.fresh(self.path_call(*args)) for args in calls]
+        updates = []
+
+        def normalize(logw):
+            updates.append(len(logw))
+            return _normalize_log_weights(logw)
+
+        monkeypatch.setattr(engine, "_normalize_log_weights", normalize)
+        _thread_stream.cache_clear()
+        made, scheme = [], None
+        kept = 1  # states of the kept path
+        for args, fresh in zip(calls, expected):
+            if args[6] != scheme:
+                scheme, kept = args[6], 1
+            updates.clear()
+            outcome = run_trial(self.path_call(*args))
+            assert outcome == fresh, args
+            assert len(updates) == max(0, len(outcome.log_probs) - kept), args
+            kept = max(kept, len(outcome.log_probs))
+            made.append(len(updates))
+        assert made == [6, 3, 5, 10, 0, 10, 5]
+
+    def test_kept_normals_own_their_memory(self):
+        # a kept half-chunk of sines is made out of place, so it does not
+        # hold its chunk's uniforms: 200 halves of 4 x 50 normals hold
+        # 320 KB, not the 480 KB that sines in place of the angles held
+        _thread_stream.cache_clear()
+        cfg = TrialConfig(prior=SimplexPoint.uniform(50), true_index=0,
+                          rule=calibrate("M1", 1.0, 50), model=NOISY, max_sequences=800,
+                          seed=5, trial_index=7)
+        run_trial(cfg)
+        normals = _thread_stream(threading.get_ident(), 5, 0).bit_generator.kept[1]
+        assert len(normals) == 200
+        assert all(z.base is None for z in normals)
+        assert sum(z.nbytes for z in normals) == 320_000
+
     def test_caches_stay_bounded(self, monkeypatch):
-        # streams, the states they hold, the half-chunks of normals they
-        # keep and priors that run_trial keeps, counted among live objects;
-        # the harness's streams, one per block of each slice, and their
-        # states are dropped with the slice, and keep no normals
+        # streams, the states they hold, the half-chunks of normals and the
+        # states of the paths they keep and priors that run_trial keeps,
+        # counted among live objects; the harness's streams, one per block
+        # of each slice, and their states are dropped with the slice, and
+        # keep no normals or paths
         def live():
             gc.collect()
             objects = gc.get_objects()
+            kept = [o.kept for o in objects
+                    if isinstance(o, np.random.Philox) and o.kept is not None]
             return np.array([sum(isinstance(o, kind) for o in objects)
                              for kind in (np.random.Generator, SimplexPoint)]
                             + [sum(isinstance(o, dict) and "bit_generator" in o for o in objects),
-                               sum(len(o.kept[1]) for o in objects
-                                   if isinstance(o, np.random.Philox) and o.kept is not None)])
+                               sum(len(k[1]) for k in kept), sum(len(k[3] or ()) for k in kept)])
 
         monkeypatch.setattr(montecarlo, "SLICE", BLOCK)
         before = live()
         for seed in range(1000):
             prior = sp([1.0 + seed, 2.0, 3.0])
             # two trials of up to two chunks: a stream keeps the last one's
-            # halves, at most 4, so 16 streams keep at most 64
+            # halves, at most 4, and its path, at most 17 states, so 16
+            # streams keep at most 64 halves and 272 states
             for t in (0, 1):
                 run_trial(replace(self.configs(seed, 1)[0], prior=prior, trial_index=t,
                                   rule=calibrate("M1", 1.0, 3), max_sequences=1 + seed % 16))
@@ -590,7 +740,7 @@ class TestStreamReuse:
                 run_experiment(ExperimentConfig(
                     n=3, prior=prior, tau=0.8, methods=("M1",), model=NOISY,
                     n_trials=3 * BLOCK, max_sequences=1, master_seed=seed))
-        assert (live() - before <= 64).all(), live() - before
+        assert (live() - before <= [64, 64, 64, 64, 16 * 17]).all(), live() - before
 
 
 class TestTrajectoryGeometry:

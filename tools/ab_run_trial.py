@@ -11,15 +11,21 @@ are loaded into one process.  Three config mixes are run:
   prior and model at tau 0.8 and 30 sequences, under broadcast and top-2
   querying, trials 0 to 399, trial-major as the workload calls them, so a
   trial's calls after its first read the normals that its thread's stream
-  keeps;
+  keeps, and those under the scheme of the call before read back its
+  path of states;
 * ``probes``: every rule of tables T2 and T3 on 300 sampled trials each,
   rule-major as the benchmark's table probes, so no call finds its
-  trial's normals kept;
+  trial's normals or path kept;
 * ``sweep_probes``: every rule of the ``sweep_topn`` workload's probe
   config (the T3 prior and T4 model, n = 10, top-3 querying, 40
   sequences, tau 0.9) on 600 sampled trials, rule-major: calls that span
-  several chunks and never find their normals kept.
+  several chunks and never find their normals or path kept.
 
+The gain on a mix depends on how often its calls come back to the trial
+of the call before, so for each mix the script first runs this
+checkout's calls once in order, from fresh streams, and prints the share
+of calls that find their trial's path kept and the share of updates
+(sequences run) that are read back from a kept path instead of made.
 Both sides must give equal outcomes (stop, decision and path, bit for
 bit) on every call, or the script exits 1.  Then each round calls every
 config once on each side, alternating which side goes first.  For the
@@ -49,6 +55,7 @@ import os
 import random
 import statistics
 import sys
+import threading
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -101,6 +108,27 @@ def configs(pkg, mix: str, seed: int) -> list:
 def outcome_key(outcome) -> tuple:
     return (outcome.stopped_at, outcome.decision, outcome.correct,
             outcome.log_probs.shape, outcome.log_probs.tobytes())
+
+
+def path_shares(engine, cfgs: list) -> tuple[int, int, int]:
+    """Run ``cfgs`` in order in this thread from fresh streams; returns the
+    calls that find their trial's path kept, the updates they read back
+    from it and the updates of all calls.  A call has found the path when
+    its stream keeps the same path list after the call as before it."""
+    engine._thread_stream.cache_clear()
+    thread, found, replayed, updates = threading.get_ident(), 0, 0, 0
+    for cfg in cfgs:
+        block = cfg.trial_index // engine.BLOCK
+        bits = engine._thread_stream(thread, cfg.seed, block).bit_generator
+        path = bits.kept[3]
+        # the call appends to a path it finds, so its length is read first
+        made = len(path) - 1 if path is not None else 0
+        sequences = len(engine.run_trial(cfg).log_probs) - 1
+        updates += sequences
+        if bits.kept[3] is path:
+            found += 1
+            replayed += min(made, sequences)
+    return found, replayed, updates
 
 
 def compare(mix: str, this, other, rounds: int) -> bool:
@@ -205,7 +233,11 @@ def main(argv=None) -> int:
         return 0 if compare_harness(this, other, args.seed, args.rounds) else 1
     ok = True
     for mix in ("scalar_geometry", "probes", "sweep_probes"):
-        ok &= compare(mix, (this.engine.run_trial, configs(this, mix, args.seed)),
+        cfgs = configs(this, mix, args.seed)
+        found, replayed, updates = path_shares(this.engine, cfgs)
+        print(f"{mix}: path kept for {found / len(cfgs):.3f} of calls ({found} of {len(cfgs)}), "
+              f"{replayed / max(updates, 1):.3f} of updates replayed ({replayed} of {updates})")
+        ok &= compare(mix, (this.engine.run_trial, cfgs),
                       (other.engine.run_trial, configs(other, mix, args.seed)), args.rounds)
     return 0 if ok else 1
 
