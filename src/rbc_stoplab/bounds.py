@@ -101,7 +101,7 @@ def stop_ratio_constant(q: BoundQuery) -> float:
     """
     p1, p2, tau = q.p1, q.p2, q.tau
     if not 0.0 < p1 < 1.0:
-        raise ValueError("true-class prior mass must lie in (0, 1)")
+        raise ValueError(f"prior mass of the true class must lie in (0, 1), got {p1}")
     if q.rule_kind == "M2norm":
         # the l2-norm form of the quadratic-entropy rule, not a criteria family
         if tau <= 0.5:

@@ -295,9 +295,12 @@ def _cmd_bounds(args) -> int:
     probs = np.array(cfg.prior.probs)
     probs[cfg.true_index] = -1.0
     competitor = int(np.argmax(probs))
-    query = bounds_mod.BoundQuery(cfg.prior, cfg.true_index, competitor, cfg.tau,
-                                  mu=cfg.model.mu_pos, c=cfg.model.c_pos)
-    report = bounds_mod.verify_prop5_ordering(query, s_values)
+    try:
+        query = bounds_mod.BoundQuery(cfg.prior, cfg.true_index, competitor, cfg.tau,
+                                      mu=cfg.model.mu_pos, c=cfg.model.c_pos)
+        report = bounds_mod.verify_prop5_ordering(query, s_values)
+    except ValueError as exc:
+        raise _option_error(exc, {"tau": "key 'tau'", "prior": "key 'prior'"}) from None
     rows = []
     for i, s in enumerate(report.s_values):
         tp_m2norm = (bounds_mod.stop_probability_lognormal(

@@ -127,8 +127,8 @@ class TrialConfig:
     ``max_sequences`` and ``check_prior`` decide where on the path the
     trial stops, not the path itself, so calls that differ only in those
     read one path, which a thread's back-to-back calls on a trial reuse:
-    its stream keeps the path of its last trial under those six fields,
-    the prior and model held by identity.
+    its stream's record keeps the path of its last trial under those six
+    fields, the prior and model held by identity (:func:`_thread_stream`).
     """
 
     prior: SimplexPoint
@@ -226,11 +226,6 @@ def _keyed_philox() -> type:
             return self.key
 
     class KeyedPhilox(np.random.Philox):
-        # the last trial a run_trial stream ran, as [(trial, n), [normals of
-        # half-chunk 0, 1, ...], path key, [log states from the prior]]
-        # (classify_until_stop); other streams keep none
-        kept = None
-
         def __init__(self, key: np.ndarray) -> None:
             super().__init__(KeySeed(key))
             state = self.state
@@ -248,17 +243,15 @@ def trial_stream(master_seed: int, block: int) -> np.random.Generator:
 
 
 @functools.lru_cache(maxsize=16)
-def _thread_stream(thread: int, master_seed: int, block: int) -> np.random.Generator:
+def _thread_stream(thread: int, master_seed: int, block: int) -> tuple[np.random.Generator, list]:
     """The stream of block ``block``, and with it its held state, that
-    :func:`run_trial` reuses across its calls in thread ``thread``.
+    :func:`run_trial` reuses across its calls in thread ``thread``, and the
+    stream's record ``[path key, log states]`` of the last trial it ran.
     :func:`read_cells` positions a stream before every read, so a used
     stream reads as a fresh one.  Threads do not share a stream: another
     thread's positioning between one's positioning and its read would move
-    it.  The stream also keeps the normals and the path of log states of
-    the last trial it ran (:func:`classify_until_stop`)."""
-    stream = trial_stream(master_seed, block)
-    stream.bit_generator.kept = [None, [], None, None]
-    return stream
+    it."""
+    return trial_stream(master_seed, block), [None, None]
 
 
 @functools.lru_cache(maxsize=64)
@@ -323,16 +316,13 @@ def _polar(streams: dict, trials: np.ndarray, chunk: int, n: int) -> tuple[np.nd
     return radius, angle
 
 
-def _half_normals(polar: tuple, half: int, live: np.ndarray | None = None,
-                  keep: bool = False) -> np.ndarray:
+def _half_normals(polar: tuple, half: int, live: np.ndarray | None = None) -> np.ndarray:
     """The normals ``(CHUNK / 2, n, T)`` of half ``half`` of a chunk from its
     :func:`_polar` output: cosines for the first half, sines for the second;
     ``live`` (None for all) picks the trial columns to compute.  The sines
-    take the angles' place, as no later half reads them, unless ``keep``:
-    normals to be kept must own their memory, not hold their chunk's
-    uniforms."""
+    take the angles' place, as no later half reads them."""
     radius, angle = polar if live is None else (part.take(live, 2) for part in polar)
-    z = np.sin(angle, out=None if keep else angle) if half else np.cos(angle)
+    z = np.sin(angle, out=angle) if half else np.cos(angle)
     z *= radius
     return z
 
@@ -369,16 +359,15 @@ def resolve_queried(scheme: QueryScheme, probs: np.ndarray) -> np.ndarray:
     return queried
 
 
-def _evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
-              out: np.ndarray | None) -> np.ndarray:
-    """Log evidence of every class from the standard normals ``z`` of shape
-    ``(..., n)``, into ``out``: ``z`` itself to make it in place, None for a
-    new array.  The true class reads the positive channel, the others the
-    negative one: one scale and one shift per class."""
+def _evidence(model: EvidenceModel, true_index: int, z: np.ndarray) -> np.ndarray:
+    """Log evidence of every class, made in place of the standard normals
+    ``z`` of shape ``(..., n)``.  The true class reads the positive
+    channel, the others the negative one: one scale and one shift per
+    class."""
     sd, mu = model._channels(true_index, z.shape[-1])
-    out = np.multiply(z, sd, out)
-    out += mu
-    return out
+    z *= sd
+    z += mu
+    return z
 
 
 def log_evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
@@ -389,14 +378,14 @@ def log_evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
     classes the negative one, and unqueried classes get exactly 0;
     ``queried`` None queries every class.
     """
-    log_e = _evidence(model, true_index, np.asarray(z, dtype=float), None)
+    log_e = _evidence(model, true_index, np.array(z, dtype=float))
     if queried is not None:
         log_e[~queried] = 0.0
     return log_e
 
 
 def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trials: np.ndarray,
-                        keep_states: bool = False) -> tuple[np.ndarray, np.ndarray, list | None]:
+                        states: list | None = None) -> tuple[np.ndarray, np.ndarray, list | None]:
     """The classify-until-stop loop over a batch of trials.
 
     ``cfg`` (a :class:`TrialConfig` or an experiment config) supplies the
@@ -410,18 +399,6 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     batch, and the sines of its second half for the trials still in it.
     Each half's log evidence is made once, in place of its normals; a
     step's unqueried cells are zeroed as the step reads them.
-
-    A batch of one whose stream keeps its last trial (``run_trial``'s, see
-    :func:`_thread_stream`) reads each half it finds kept for its trial
-    and ``n`` instead of drawing it, and keeps each half it draws; a
-    different trial or ``n`` replaces them.  Its evidence is made out of
-    place, so the kept normals are never written.  Such a stream also
-    keeps the trial's path of log states, which depends on nothing else
-    but the prior's log weights and the model, held by identity (equal
-    models may differ in a zero's sign), and the true class and scheme:
-    while the same path applies, its states are read back instead of
-    updated, the stop tests run on them as on new ones, and the update
-    resumes at the path's end, mid-half if need be, appending its states.
 
     Each sequence updates every trial in the log domain and tests every
     rule on the new states (and on the priors with ``check_prior``).
@@ -437,9 +414,15 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     Returns ``first`` and ``correct`` ``(R, T)``: each rule's first stop,
     -1 if it never stopped, and whether the argmax decision there (lowest
     index on ties) is the true class, False if it never stopped.
-    ``keep_states`` also returns the log states up to the last stop, one
-    ``(T_s, n)`` array per state for the trials still in the batch; with
-    no rules, that is every trial.
+
+    ``states``, if given, holds the batch's log states so far, one
+    ``(T_s, n)`` array per state for the trials still in the batch,
+    starting with ``log_priors``.  The loop reads the states past the
+    first back instead of updating, runs the stop tests on them as on new
+    ones, resumes the update at the list's end, mid-half if need be, and
+    appends the states it makes; it returns the list up to the last state
+    it tested, which with no rules holds every trial.  (:func:`run_trial`
+    passes the path it keeps for its trial.)
     """
     t_count, n = log_priors.shape
     first = np.empty((len(rules), t_count), int)
@@ -458,26 +441,9 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     # trials, None while all of them do
     previous = live = polar = None
     some_stopped = False
-    states = [logp] if keep_states else None
-    # normals: the half-chunks of normals that a batch of one's stream keeps
-    # of its trial, in order from the first, None for a slice or a stream
-    # that keeps none; resume: the first state made, not read back from states
-    normals, resume = None, 1
-    if t_count == 1:
-        trial = trials.item(0)
-        bits = streams[trial // BLOCK].bit_generator
-        kept = bits.kept
-        if kept is not None:
-            if kept[0] != (trial, n):
-                kept = bits.kept = [(trial, n), [], None, None]
-            held = kept[2]
-            if (held is None or held[0] is not logp or held[1] is not cfg.model
-                    or held[2] != cfg.true_index or held[3] != cfg.scheme):
-                kept[2:] = (logp, cfg.model, cfg.true_index, cfg.scheme), [logp]
-            normals, states = kept[1], kept[3]
-            resume = len(states)
-    # made: the half-chunk whose evidence the loop holds
-    made = -1
+    # resume: the first state made, not read back from states; made: the
+    # half-chunk whose evidence the loop holds
+    resume, made = len(states) if states else 1, -1
     for s in range(cfg.max_sequences + 1):
         if s >= resume:
             h, step = divmod(s - 1, CHUNK // 2)
@@ -488,20 +454,12 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
                 chunk, half = divmod(h, 2)
                 if not half:
                     polar = None
-                # halves run in order, so a trial's kept halves are the first ones
-                if normals is not None and h < len(normals):
-                    z = normals[h]
-                else:
-                    if polar is None:
-                        polar, live = _polar(streams, trials, chunk, n), None
-                    # a chunk's second half only for the trials still in the batch
-                    z, live = _half_normals(polar, half, live, keep=normals is not None), None
-                    if normals is not None:
-                        normals.append(z)
-                # evidence (CHUNK / 2, T, n), made out of kept normals and in
-                # place of others
-                z = z.transpose(0, 2, 1)
-                evidence = _evidence(cfg.model, cfg.true_index, z, z if normals is None else None)
+                if polar is None:
+                    polar, live = _polar(streams, trials, chunk, n), None
+                # a chunk's second half only for the trials still in the batch;
+                # evidence (CHUNK / 2, T, n)
+                z, live = _half_normals(polar, half, live), None
+                evidence = _evidence(cfg.model, cfg.true_index, z.transpose(0, 2, 1))
             log_e = evidence[step] if live is None else evidence[step].T.take(live, 1).T
             if not isinstance(cfg.scheme, Broadcast):
                 # only this step reads its cells, so they take its zeros in place
@@ -552,7 +510,7 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
             live = keep.nonzero()[0] if live is None else live[keep]
             # indexing would return the kept states row-major
             logp = previous = logp.T.compress(keep, 1).T
-    return first, correct, states[:s + 1] if keep_states else None
+    return first, correct, None if states is None else states[:s + 1]
 
 
 def run_trial(config: TrialConfig) -> TrialOutcome:
@@ -568,17 +526,24 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     loop tested it.
 
     Each thread reuses its stream of a ``(seed, block)`` across calls,
-    with the normals and the path of log states of the last trial it ran,
-    so back-to-back calls on one trial draw its normals once, and those
-    that share its path (see :class:`TrialConfig`) update it once; each
-    prior is normalized for the loop once; both are kept in small bounded
-    caches.
+    with a record of the path of log states of the last trial it ran, so
+    back-to-back calls on one trial that share its path (see
+    :class:`TrialConfig`) update it once and replay it after; each prior
+    is normalized for the loop once; both are kept in small bounded
+    caches.  The path is keyed by the trial, the prior's normalized log
+    weights and the model, held by identity (equal models may differ in a
+    zero's sign), and the true class and scheme; another key replaces it.
     """
-    block = config.trial_index // BLOCK
-    first, _, states = classify_until_stop(
-        config, (config.rule,), _log_prior(config.prior),
-        {block: _thread_stream(threading.get_ident(), config.seed, block)},
-        np.array([config.trial_index]), keep_states=True)
+    block, logp = config.trial_index // BLOCK, _log_prior(config.prior)
+    stream, record = _thread_stream(threading.get_ident(), config.seed, block)
+    key = record[0]
+    if (key is None or key[0] != config.trial_index or key[1] is not logp
+            or key[2] is not config.model or key[3] != config.true_index
+            or key[4] != config.scheme):
+        record[:] = (config.trial_index, logp, config.model, config.true_index,
+                     config.scheme), [logp]
+    first, _, states = classify_until_stop(config, (config.rule,), logp, {block: stream},
+                                           np.array([config.trial_index]), record[1])
     path = np.concatenate(states)
     path.flags.writeable = False
     stopped_at = int(first[0, 0])

@@ -493,8 +493,8 @@ def trajectory_ensemble(cfg: ExperimentConfig, n_paths: int = 100) -> EnsembleRe
         paths = np.empty((n_paths, cfg.max_sequences + 1, cfg.n))
     for lo, hi in _slices(n_paths):
         out = paths[lo:hi]
-        np.stack(classify_until_stop(sub, [], *_batch(sub, lo, hi), keep_states=True)[2], axis=1,
-                 out=out)
+        logp, streams, trials = _batch(sub, lo, hi)
+        np.stack(classify_until_stop(sub, [], logp, streams, trials, [logp])[2], axis=1, out=out)
         np.exp(out, out=out)
     return EnsembleResult(paths=paths, mean=paths.mean(axis=0))
 

@@ -439,6 +439,20 @@ class TestBoundsCommand:
         assert "'s_range'" in err and "--s-range" not in err
         assert not (tmp_path / "bd").exists()
 
+    @pytest.mark.parametrize("old, new, err", [
+        ("tau = 0.8", "tau = 1", "key 'tau': tau must lie in (1/3, 1)"),
+        ("prior = 0.42,0.55,0.03", "prior = 1,0,0",
+         "key 'prior': prior mass of the true class must lie in (0, 1), got 1.0"),
+        ("prior = 0.42,0.55,0.03", "prior = 0,0.5,0.5",
+         "key 'prior': prior mass of the true class must lie in (0, 1), got 0.0"),
+    ], ids=["tau_1", "true_mass_1", "true_mass_0"])
+    def test_bad_query_names_key(self, tmp_path, capsys, old, new, err):
+        # a config that runs as an experiment but gives no bound query
+        cfg = GOOD_CONFIG.replace(old, new) + f"out_dir = {tmp_path / 'bd'}\n"
+        assert main(["bounds", write_config(tmp_path, cfg), "--s-range", "1:3"]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not (tmp_path / "bd").exists()
+
 
 class TestTrajectoriesCommand:
     def test_writes_paths_and_mean(self, tmp_path):

@@ -696,43 +696,28 @@ class TestStreamReuse:
             made.append(len(updates))
         assert made == [6, 3, 5, 10, 0, 10, 5]
 
-    def test_kept_normals_own_their_memory(self):
-        # a kept half-chunk of sines is made out of place, so it does not
-        # hold its chunk's uniforms: 200 halves of 4 x 50 normals hold
-        # 320 KB, not the 480 KB that sines in place of the angles held
-        _thread_stream.cache_clear()
-        cfg = TrialConfig(prior=SimplexPoint.uniform(50), true_index=0,
-                          rule=calibrate("M1", 1.0, 50), model=NOISY, max_sequences=800,
-                          seed=5, trial_index=7)
-        run_trial(cfg)
-        normals = _thread_stream(threading.get_ident(), 5, 0).bit_generator.kept[1]
-        assert len(normals) == 200
-        assert all(z.base is None for z in normals)
-        assert sum(z.nbytes for z in normals) == 320_000
-
     def test_caches_stay_bounded(self, monkeypatch):
-        # streams, the states they hold, the half-chunks of normals and the
-        # states of the paths they keep and priors that run_trial keeps,
-        # counted among live objects; the harness's streams, one per block
-        # of each slice, and their states are dropped with the slice, and
-        # keep no normals or paths
+        # streams, the states they hold, the states of the paths that their
+        # records keep and priors that run_trial keeps, counted among live
+        # objects; the harness's streams, one per block of each slice, and
+        # their states are dropped with the slice, and have no records
         def live():
             gc.collect()
             objects = gc.get_objects()
-            kept = [o.kept for o in objects
-                    if isinstance(o, np.random.Philox) and o.kept is not None]
+            paths = [o[1][1] or () for o in objects if isinstance(o, tuple) and len(o) == 2
+                     and isinstance(o[0], np.random.Generator) and isinstance(o[1], list)]
             return np.array([sum(isinstance(o, kind) for o in objects)
                              for kind in (np.random.Generator, SimplexPoint)]
                             + [sum(isinstance(o, dict) and "bit_generator" in o for o in objects),
-                               sum(len(k[1]) for k in kept), sum(len(k[3] or ()) for k in kept)])
+                               sum(map(len, paths))])
 
         monkeypatch.setattr(montecarlo, "SLICE", BLOCK)
         before = live()
         for seed in range(1000):
             prior = sp([1.0 + seed, 2.0, 3.0])
-            # two trials of up to two chunks: a stream keeps the last one's
-            # halves, at most 4, and its path, at most 17 states, so 16
-            # streams keep at most 64 halves and 272 states
+            # two trials of up to two chunks: a stream's record keeps the
+            # last one's path, at most 17 states, so 16 records keep at most
+            # 272 states
             for t in (0, 1):
                 run_trial(replace(self.configs(seed, 1)[0], prior=prior, trial_index=t,
                                   rule=calibrate("M1", 1.0, 3), max_sequences=1 + seed % 16))
@@ -740,7 +725,7 @@ class TestStreamReuse:
                 run_experiment(ExperimentConfig(
                     n=3, prior=prior, tau=0.8, methods=("M1",), model=NOISY,
                     n_trials=3 * BLOCK, max_sequences=1, master_seed=seed))
-        assert (live() - before <= [64, 64, 64, 64, 16 * 17]).all(), live() - before
+        assert (live() - before <= [64, 64, 64, 16 * 17]).all(), live() - before
 
 
 class TestTrajectoryGeometry:

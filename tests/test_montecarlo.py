@@ -301,8 +301,8 @@ class TestHarnessMatchesEngine:
                            n_trials=300, max_sequences=20)
         rule = calibrate("M1", cfg.tau, cfg.n)
         kept = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths
-        first, _, states = classify_until_stop(cfg, [rule], *_batch(cfg, 0, cfg.n_trials),
-                                              keep_states=True)
+        logp, streams, trials = _batch(cfg, 0, cfg.n_trials)
+        first, _, states = classify_until_stop(cfg, [rule], logp, streams, trials, [logp])
         sizes = [len(state) for state in states]
         # a state s was updated with step (s - 1) % CHUNK of its chunk
         assert any(sizes[s] < sizes[s - 1] for s in range(2, len(sizes)) if (s - 1) % CHUNK)
@@ -329,8 +329,8 @@ class TestHarnessMatchesEngine:
         rules = [calibrate(m, cfg.tau, cfg.n) for m in cfg.methods]
         res = run_experiment(cfg)
         kept = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths
-        first, _, states = classify_until_stop(cfg, rules, *_batch(cfg, 0, cfg.n_trials),
-                                              keep_states=True)
+        logp, streams, trials = _batch(cfg, 0, cfg.n_trials)
+        first, _, states = classify_until_stop(cfg, rules, logp, streams, trials, [logp])
         np.testing.assert_array_equal(first, res.first_stop)
         # state s + 1 is the first without the trials that left at state s
         left = {(s - 1) % CHUNK for s in range(1, len(states) - 1)
