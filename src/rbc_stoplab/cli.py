@@ -7,6 +7,10 @@ configuration and the random-number layout (``rng_layout``), all
 through :func:`write_outputs`.  The manifests of
 ``simulate``, ``sweep``, ``bounds`` and ``trajectories`` are valid config
 files that rerun their own command byte-for-byte.
+
+Errors are named in one place, :func:`main`: a rejected value, or one
+too large to hold, is reported with the flag that set it when the flag
+was given, otherwise with its config key.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .montecarlo import (
     RandomRemainder,
     TABLE_IDS,
     TooLarge,
+    _held,
     comparison_to_csv,
     format_cell,
     letters_projection,
@@ -155,8 +160,7 @@ def build_experiment_config(raw: dict[str, str]) -> tuple[ExperimentConfig, dict
         raise ConfigError(f"key 'scheme': expected 'broadcast' or 'topN:<N>', got {scheme_text!r}")
 
     try:
-        cfg = _hold(
-            _FIELD_KEYS, ExperimentConfig,
+        cfg = ExperimentConfig(
             n=n,
             prior=prior,
             tau=_parse_float(resolved, "tau"),
@@ -169,41 +173,36 @@ def build_experiment_config(raw: dict[str, str]) -> tuple[ExperimentConfig, dict
             max_sequences=_parse_int(resolved, "max_sequences"),
             master_seed=_parse_int(resolved, "seed"),
         )
-    except ValueError as exc:
-        raise _option_error(exc, _FIELD_KEYS) from None
+    except (ValueError, TooLarge) as exc:
+        raise ConfigError(_named(exc, _FIELD_KEYS)) from None
     return cfg, resolved
 
 
-def _own_option(args, resolved: dict[str, str], key: str, default: str | None = None) -> str:
+def _own_option(args, resolved: dict[str, str], key: str, param: str,
+                default: str | None = None) -> str:
     """A command's own option: its flag if given, else the config's ``key``,
-    else ``default``; the manifest records the value used."""
-    flag = getattr(args, key)
+    else ``default``; the manifest records the value used, and errors in
+    the library parameter ``param`` name the flag or the key."""
+    flag, option = getattr(args, key), f"--{key.replace('_', '-')}"
+    args.names[param] = option if flag is not None else f"key {key!r}"
     if flag is not None:
         resolved[key] = str(flag)
     elif key not in resolved:
         if default is None:
-            raise ConfigError(f"--{key.replace('_', '-')} is required "
-                              f"(or key {key!r} in the config)")
+            raise ConfigError(f"{option} is required (or key {key!r} in the config)")
         resolved[key] = default
     return resolved[key]
 
 
-def _hold(names: dict[str, str], run, *args, **kwargs):
-    """``run(*args, **kwargs)``; an array it cannot hold (``TooLarge``) is
-    reported with the options or keys that set its size, ``names`` mapping
-    config fields to them."""
-    try:
-        return run(*args, **kwargs)
-    except TooLarge as exc:
-        raise ConfigError(f"{' and '.join(names[field] for field in exc.fields)}: {exc}") from None
-
-
-def _option_error(exc: ValueError, options: dict[str, str]) -> ConfigError:
-    """``exc`` as a config error that names what the user typed: a message
-    that starts with a parameter in ``options`` is prefixed with the option
-    or key that set it."""
+def _named(exc: Exception, names: dict[str, str]) -> str:
+    """``exc``'s message, prefixed with what the user typed: for a
+    ``TooLarge``, the options or keys that set the array's size; for a
+    ``ValueError`` whose message starts with a parameter in ``names``, the
+    option or key that set that parameter."""
+    if isinstance(exc, TooLarge):
+        return f"{' and '.join(names[field] for field in exc.fields)}: {exc}"
     param = str(exc).split(" ", 1)[0]
-    return ConfigError(f"{options[param]}: {exc}" if param in options else str(exc))
+    return f"{names[param]}: {exc}" if isinstance(exc, ValueError) and param in names else str(exc)
 
 
 def write_outputs(out_dir: str, manifest: dict, csvs=(), result=None,
@@ -229,7 +228,7 @@ def write_outputs(out_dir: str, manifest: dict, csvs=(), result=None,
 
 def _cmd_simulate(args) -> int:
     cfg, resolved = build_experiment_config(parse_config_file(args.config))
-    result = _hold(_FIELD_KEYS, run_experiment, cfg)
+    result = run_experiment(cfg)
     write_outputs(resolved["out_dir"], resolved, result=result)
     print(f"wrote results for {len(cfg.methods)} methods x "
           f"{cfg.max_sequences} sequences to {resolved['out_dir']}")
@@ -237,9 +236,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-    comp = _hold({"n_trials": "--trials"}, reproduce_table, args.table, args.trials, args.seed)
+    args.names.update(n_trials="--trials", seed="--seed")
+    comp = reproduce_table(args.table, args.trials, args.seed)
     write_outputs(args.out_dir, {"table": args.table, "trials": args.trials, "seed": args.seed,
                                  "tolerance": comp.tolerance, "out_dir": args.out_dir},
                   result=comp.result, comparison=comp)
@@ -251,15 +249,12 @@ def _cmd_table(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg, resolved = build_experiment_config(parse_config_file(args.config, "tau_list"))
-    name = "--tau-list" if args.tau_list is not None else "key 'tau_list'"
+    text = _own_option(args, resolved, "tau_list", "tau")
     try:
-        taus = [float(t) for t in _own_option(args, resolved, "tau_list").split(",")]
+        taus = [float(t) for t in text.split(",")]
     except ValueError:
-        raise ConfigError(f"{name} must be comma-separated numbers") from None
-    try:
-        points = _hold(_FIELD_KEYS, speed_accuracy_sweep, cfg, taus)
-    except ValueError as exc:
-        raise _option_error(exc, {"tau": name}) from None
+        raise ConfigError(f"{args.names['tau']} must be comma-separated numbers") from None
+    points = speed_accuracy_sweep(cfg, taus)
     write_outputs(resolved["out_dir"], resolved, [(
         "sweep.csv", ["method", "tau", "mean_sequences", "mean_accuracy"],
         ([p.method, p.tau, p.mean_sequences, p.mean_accuracy] for p in points))])
@@ -269,11 +264,14 @@ def _cmd_sweep(args) -> int:
 
 def _parse_s_range(text: str, name: str) -> list[int]:
     """Sequence counts from ``lo:hi`` or comma-separated integers; ``name``
-    is the option or key the text came from."""
+    is the option or key the text came from, and a range too long to hold
+    raises :class:`TooLarge` for the ``s_range`` parameter."""
     try:
         if ":" in text:
-            lo, hi = text.split(":", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in text.split(":", 1))
+            with _held(("s_range",), f"{hi + 1 - lo} sequence counts"):
+                np.empty(max(hi + 1 - lo, 0), dtype=np.intp)  # as large as the list's pointers
+            values = list(range(lo, hi + 1))
         else:
             values = [int(v) for v in text.split(",")]
     except ValueError:
@@ -290,17 +288,14 @@ def _cmd_bounds(args) -> int:
     cfg, resolved = build_experiment_config(parse_config_file(args.config, "s_range"))
     if not isinstance(cfg.prior, SimplexPoint):
         raise ConfigError("key 'prior': bounds need an explicit prior vector")
-    s_values = _parse_s_range(_own_option(args, resolved, "s_range"),
-                              "--s-range" if args.s_range is not None else "key 's_range'")
+    s_values = _parse_s_range(_own_option(args, resolved, "s_range", "s_range"),
+                              args.names["s_range"])
     probs = np.array(cfg.prior.probs)
     probs[cfg.true_index] = -1.0
     competitor = int(np.argmax(probs))
-    try:
-        query = bounds_mod.BoundQuery(cfg.prior, cfg.true_index, competitor, cfg.tau,
-                                      mu=cfg.model.mu_pos, c=cfg.model.c_pos)
-        report = bounds_mod.verify_prop5_ordering(query, s_values)
-    except ValueError as exc:
-        raise _option_error(exc, {"tau": "key 'tau'", "prior": "key 'prior'"}) from None
+    query = bounds_mod.BoundQuery(cfg.prior, cfg.true_index, competitor, cfg.tau,
+                                  mu=cfg.model.mu_pos, c=cfg.model.c_pos)
+    report = bounds_mod.verify_prop5_ordering(query, s_values)
     rows = []
     for i, s in enumerate(report.s_values):
         tp_m2norm = (bounds_mod.stop_probability_lognormal(
@@ -319,14 +314,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    if args.method not in FAMILIES or args.method == "M5":
-        raise ConfigError(f"method must be one of {[m for m in FAMILIES if m != 'M5']}")
     if args.resolution < 3:
         raise ConfigError(f"--resolution must be at least 3, got {args.resolution}")
-    try:
-        rule = calibrate(args.method, args.tau, 3)
-    except ValueError as exc:
-        raise _option_error(exc, {"tau": "--tau"}) from None
+    args.names.update(tau="--tau", resolution="--resolution")
+    rule = calibrate(args.method, args.tau, 3)
+    with _held(("resolution",), f"the directions of {args.resolution} rays"):
+        np.empty((args.resolution, 3))  # held by boundary_sample before it traces any ray
     points = boundary_sample(rule, args.resolution)
     name = f"boundary_{args.method}.csv"
     write_outputs(args.out_dir, {"method": args.method, "tau": args.tau,
@@ -337,12 +330,9 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_letters(args) -> int:
-    try:
-        value = letters_projection(args.acc, args.eseq, total_letters=args.total,
-                                   literal=args.literal_pseudocode)
-    except ValueError as exc:
-        raise _option_error(exc, {"acc": "--acc", "e_seq": "--eseq",
-                                  "total_letters": "--total"}) from None
+    args.names.update(acc="--acc", e_seq="--eseq", total_letters="--total")
+    value = letters_projection(args.acc, args.eseq, total_letters=args.total,
+                               literal=args.literal_pseudocode)
     print(format(value, ".10g"))
     return 0
 
@@ -351,12 +341,8 @@ def _cmd_trajectories(args) -> int:
     cfg, resolved = build_experiment_config(parse_config_file(args.config, "paths"))
     if not isinstance(cfg.prior, SimplexPoint):
         raise ConfigError("key 'prior': trajectories need an explicit prior vector")
-    _own_option(args, resolved, "paths", default="100")
-    paths = _parse_int(resolved, "paths")
-    if paths < 1:
-        raise ConfigError(f"--paths must be at least 1, got {paths}")
-    ens = _hold({**_FIELD_KEYS, "n_trials": "--paths" if args.paths is not None else "key 'paths'"},
-                trajectory_ensemble, cfg, paths)
+    _own_option(args, resolved, "paths", "n_trials", default="100")
+    ens = trajectory_ensemble(cfg, _parse_int(resolved, "paths"))
     cols = [f"p{i + 1}" for i in range(cfg.n)]
     write_outputs(resolved["out_dir"], resolved, [
         ("trajectory_mean.csv", ["s", *cols], ([s, *row] for s, row in enumerate(ens.mean))),
@@ -422,12 +408,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; a rejected value exits ``USAGE_ERROR``, its message
+    naming the flag or key behind it.  Each command adds its own flags to
+    ``args.names``, the map from library parameters to what set them."""
+    args = _build_parser().parse_args(argv)
+    args.names = dict(_FIELD_KEYS)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_named(exc, args.names)}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -293,10 +293,16 @@ class TestTable:
             assert read_bytes(os.path.join(out_a, name)) == \
                 read_bytes(os.path.join(out_b, name))
 
-    def test_zero_trials_names_option(self, tmp_path, capsys):
-        rc = main(["table", "T2", "--trials", "0", "--out-dir", str(tmp_path / "t")])
+    @pytest.mark.parametrize("flags, message", [
+        ("--trials 0", "--trials: n_trials must be at least 1"),
+        ("--seed -1", "--seed: seed must lie in [0, 2**64), got -1"),
+        (f"--seed {2**64}", f"--seed: seed must lie in [0, 2**64), got {2**64}"),
+    ], ids=["zero-trials", "negative-seed", "seed-beyond-64-bits"])
+    def test_bad_value_names_option(self, tmp_path, capsys, flags, message):
+        rc = main(["table", "T2", *flags.split(), "--out-dir", str(tmp_path / "t")])
         assert rc == 2
-        assert "--trials" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "t").exists()
 
 
 class TestBoundary:
@@ -311,20 +317,34 @@ class TestBoundary:
         srt = np.sort(rows, axis=1)
         np.testing.assert_allclose(srt[:, 2] - srt[:, 1], 0.6, atol=1e-9)
 
-    def test_rejects_unknown_method(self, capsys):
-        assert main(["boundary", "M9", "--tau", "0.8"]) == 2
+    @pytest.mark.parametrize("method, message", [
+        ("M9", "unknown family 'M9'"),
+        ("M5", "the consecutive-KL rule has no pointwise boundary"),
+    ], ids=["M9", "M5"])
+    def test_rejects_unknown_method(self, tmp_path, capsys, method, message):
+        assert main(["boundary", method, "--tau", "0.8", "--out-dir", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "b").exists()
 
     def test_tau_outside_domain_names_option(self, tmp_path, capsys):
         assert main(["boundary", "M1", "--tau", "0.2", "--out-dir", str(tmp_path / "b")]) == 2
         assert capsys.readouterr().err == "error: --tau: tau must lie in (1/3, 1], got 0.2\n"
         assert not (tmp_path / "b").exists()
 
-    @pytest.mark.parametrize("resolution", ["2", "-5"])
-    def test_bad_resolution_names_option(self, tmp_path, capsys, resolution):
+    @pytest.mark.parametrize("resolution, message", [
+        ("2", "--resolution must be at least 3, got 2"),
+        ("-5", "--resolution must be at least 3, got -5"),
+        # the rays are allocated before any is traced; numpy refuses 10**12
+        # without allocating, and 10**30 as past its largest dimension
+        (str(10**12), f"--resolution: the directions of {10**12} rays do not fit in memory ("),
+        (str(10**30), f"--resolution: the directions of {10**30} rays do not fit in memory ("),
+    ], ids=["2", "-5", "1e12", "1e30"])
+    def test_bad_resolution_names_option(self, tmp_path, capsys, resolution, message):
         rc = main(["boundary", "M1", "--tau", "0.8", "--resolution", resolution,
                    "--out-dir", str(tmp_path / "b")])
         assert rc == 2
-        assert f"--resolution must be at least 3, got {resolution}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
         assert not (tmp_path / "b").exists()
 
 
@@ -423,7 +443,8 @@ class TestBoundsCommand:
         lines = (out_dir / "bounds.csv").read_text().splitlines()
         assert [line.split(",")[3] for line in lines] == ["tp_m2norm", "nan", "nan"]
 
-    @pytest.mark.parametrize("s_range", ["5:1", "0:3", "2,0", "-1"])
+    @pytest.mark.parametrize("s_range", ["5:1", "0:3", "2,0", "-1", "1:1000000000000",
+                                         "1:1000000000000000000000"])
     def test_bad_range_names_option(self, tmp_path, capsys, s_range):
         # an empty range or a count below 1 fails before any output is written
         cfg = GOOD_CONFIG + f"out_dir = {tmp_path / 'bd'}\n"
@@ -431,7 +452,8 @@ class TestBoundsCommand:
         assert "--s-range" in capsys.readouterr().err
         assert not (tmp_path / "bd").exists()
 
-    @pytest.mark.parametrize("s_range", ["5:1", "0:3", "x"])
+    @pytest.mark.parametrize("s_range", ["5:1", "0:3", "x", "1:1000000000000",
+                                         "1:1000000000000000000000"])
     def test_bad_range_from_config_names_key(self, tmp_path, capsys, s_range):
         cfg = GOOD_CONFIG + f"s_range = {s_range}\nout_dir = {tmp_path / 'bd'}\n"
         assert main(["bounds", write_config(tmp_path, cfg)]) == 2
@@ -493,7 +515,7 @@ class TestTrajectoriesCommand:
         cfg = GOOD_CONFIG + f"out_dir = {tmp_path / 'tr'}\n"
         rc = main(["trajectories", write_config(tmp_path, cfg), "--paths", paths])
         assert rc == 2
-        assert "--paths" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --paths: n_trials must be at least 1\n"
         assert not (tmp_path / "tr").exists()
 
 
