@@ -15,6 +15,7 @@ lives in nats); entropies elsewhere in the package are in bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,8 +75,8 @@ class BoundQuery:
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not 0.0 <= self.c < math.inf:
             raise ValueError(f"c must be finite and nonnegative, got {self.c}")
-        if self.s < 1:
-            raise ValueError("s must be at least 1")
+        if not 1 <= self.s <= sys.float_info.max:
+            raise ValueError(f"s must lie in [1, {sys.float_info.max:.3g}], got {self.s}")
         if self.rule_kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.rule_kind!r}")
 

@@ -265,11 +265,11 @@ def _cmd_sweep(args) -> int:
 def _parse_s_range(text: str, name: str) -> list[int]:
     """Sequence counts from ``lo:hi`` or comma-separated integers; ``name``
     is the option or key the text came from, and a range too long to hold
-    raises :class:`TooLarge` for the ``s_range`` parameter."""
+    raises :class:`TooLarge` for the ``s`` parameter."""
     try:
         if ":" in text:
             lo, hi = (int(v) for v in text.split(":", 1))
-            with _held(("s_range",), f"{hi + 1 - lo} sequence counts"):
+            with _held(("s",), f"{hi + 1 - lo} sequence counts"):
                 np.empty(max(hi + 1 - lo, 0), dtype=np.intp)  # as large as the list's pointers
             values = list(range(lo, hi + 1))
         else:
@@ -288,8 +288,7 @@ def _cmd_bounds(args) -> int:
     cfg, resolved = build_experiment_config(parse_config_file(args.config, "s_range"))
     if not isinstance(cfg.prior, SimplexPoint):
         raise ConfigError("key 'prior': bounds need an explicit prior vector")
-    s_values = _parse_s_range(_own_option(args, resolved, "s_range", "s_range"),
-                              args.names["s_range"])
+    s_values = _parse_s_range(_own_option(args, resolved, "s_range", "s"), args.names["s"])
     probs = np.array(cfg.prior.probs)
     probs[cfg.true_index] = -1.0
     competitor = int(np.argmax(probs))

@@ -124,7 +124,7 @@ def calibrate(family: str, tau: float, n: int, *, alpha: float | None = None) ->
     if n < 2:
         raise ValueError("n must be at least 2")
     tau = float(tau)
-    if not (1.0 / n < tau <= 1.0):
+    if not (1 / n < tau <= 1.0):  # an integer quotient: n may lie past the float range
         raise ValueError(f"tau must lie in (1/{n}, 1], got {tau}")
 
     if family == "M1":

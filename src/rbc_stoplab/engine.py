@@ -42,7 +42,6 @@ __all__ = [
     "TrialOutcome",
     "BLOCK",
     "CHUNK",
-    "SEEK",
     "RNG_LAYOUT",
     "trial_stream",
     "read_cells",
@@ -113,7 +112,6 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 BLOCK = 1024  # trials per random stream
 CHUNK = 8  # sequences per cell of a stream
-SEEK = 400  # uniforms whose generation takes about as long as one positioned read
 RNG_LAYOUT = f"philox-block{BLOCK}-chunk{CHUNK}"
 
 
@@ -128,7 +126,8 @@ class TrialConfig:
     trial stops, not the path itself, so calls that differ only in those
     read one path, which a thread's back-to-back calls on a trial reuse:
     its stream's record keeps the path of its last trial under those six
-    fields, the prior and model held by identity (:func:`_thread_stream`).
+    fields, the prior as its normalized log weights, which equal priors
+    share (:func:`_log_prior`), and the model by identity (:func:`_thread_stream`).
     """
 
     prior: SimplexPoint
@@ -148,6 +147,8 @@ class TrialConfig:
             raise ValueError("prior and rule dimensions differ")
         if self.max_sequences < 1:
             raise ValueError("max_sequences must be at least 1")
+        if self.max_sequences > _FLOAT_MAX:
+            raise ValueError(f"max_sequences = {self.max_sequences} lies beyond the float range")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.trial_index < 0:
@@ -268,22 +269,18 @@ def read_cells(streams: dict, trials: np.ndarray, row: int, n: int) -> np.ndarra
     indices ``trials``, ``w`` being ``n`` rounded up to a multiple of 4;
     ``streams`` maps a block to its stream.
 
-    The listed trials are read in runs, each from one positioned read: a
-    run ends at a block's end, or before a gap between listed trials whose
-    cells would take more than ``SEEK`` uniforms to generate.  A run
-    without gaps is generated straight into the result; the cells of a
-    run's gaps are generated and dropped.  A read is positioned by writing
-    the counter of the state that its stream's bit generator holds
-    (:func:`trial_stream`), not by reading the state back.
+    Each run of consecutive listed trials within one block is generated
+    straight into the result by one positioned read.  A read is
+    positioned by writing the counter of the state that its stream's bit
+    generator holds (:func:`trial_stream`), not by reading the state back.
     """
     w = -(-n // 4) * 4
     out = np.empty((len(trials), CHUNK, w))
     edges = [0, len(trials)] if len(trials) < 2 else [0, *(np.flatnonzero(
-        ((np.diff(trials) - 1) * (CHUNK * w) > SEEK) | np.diff(trials // BLOCK)) + 1).tolist(),
-        len(trials)]
+        (np.diff(trials) != 1) | np.diff(trials // BLOCK)) + 1).tolist(), len(trials)]
     block = None
     for start, stop in zip(edges, edges[1:]):
-        lo, hi = trials.item(start), trials.item(stop - 1)
+        lo = trials.item(start)
         if lo // BLOCK != block:
             block = lo // BLOCK
             stream = streams[block]
@@ -293,12 +290,7 @@ def read_cells(streams: dict, trials: np.ndarray, row: int, n: int) -> np.ndarra
         # empty the next output comes from the next step
         state["state"]["counter"][0] = (row * BLOCK + lo % BLOCK) * CHUNK * w // 4
         bits.state = state
-        if hi - lo == stop - start - 1:
-            stream.random(out=out[start:stop])
-        else:
-            # take buffers its output unless indices are clipped; none need it
-            stream.random((hi - lo + 1, CHUNK, w)).take(trials[start:stop] - lo, 0,
-                                                         out=out[start:stop], mode="clip")
+        stream.random(out=out[start:stop])
     return out
 
 

@@ -37,6 +37,7 @@ from .engine import (
     EvidenceModel,
     QueryScheme,
     TrialConfig,
+    _FLOAT_MAX,
     _log_prior,
     classify_until_stop,
     read_cells,
@@ -463,7 +464,9 @@ def speed_accuracy_sweep(cfg: ExperimentConfig, tau_list,
     """
     taus = [float(t) for t in tau_list]
     methods = tuple(m for m in cfg.methods if include_m5 or m != "M5")
-
+    if not methods or not taus:
+        raise ValueError("tau_list must hold at least one anchor" if methods else
+                         f"methods must name a family besides M5 for a sweep, got {cfg.methods}")
     pairs = [(method, tau) for method in methods for tau in taus]
     rules = [calibrate(method, tau, cfg.n) for method, tau in pairs]
     first, correct, tally = _classify(cfg, rules)
@@ -515,6 +518,8 @@ def letters_projection(acc: float, e_seq: float, total_letters: int = 100,
         raise ValueError(f"e_seq must be positive and finite, got {e_seq}")
     if total_letters < 1:
         raise ValueError(f"total_letters must be at least 1, got {total_letters}")
+    if total_letters > _FLOAT_MAX:
+        raise ValueError(f"total_letters = {total_letters} lies beyond the float range")
     remaining = int(total_letters)
     total = 0.0
     while remaining > 0:

@@ -589,6 +589,8 @@ class TestQueryValidation:
             BoundQuery(prior, 0, 1, 0.2)
         with pytest.raises(ValueError):
             BoundQuery(prior, 0, 1, 0.8, s=0)
+        with pytest.raises(ValueError, match="^s must lie in"):
+            BoundQuery(prior, 0, 1, 0.8, s=10**400)  # past the float range
         with pytest.raises(ValueError):
             BoundQuery(prior, 0, 1, 0.8, rule_kind="bogus")
 

@@ -125,7 +125,7 @@ class TestConfigParsing:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("max_sequences", [10**12, 10**30])
+    @pytest.mark.parametrize("max_sequences", [10**12, 10**30, 10**400])
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_horizon_beyond_memory_names_key(self, tmp_path, capsys, command, max_sequences):
         # the per-sequence tallies are allocated before any trial runs; the
@@ -153,7 +153,7 @@ class TestConfigParsing:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("n", [10**12, 10**20])
+    @pytest.mark.parametrize("n", [10**12, 10**20, 10**400])
     @pytest.mark.parametrize("command", ["simulate", "sweep", "bounds", "trajectories"])
     @pytest.mark.parametrize("methods", ["M1,MP,M3", "M3,M1"])
     def test_class_count_beyond_memory_names_key(self, tmp_path, capsys, command, n, methods):
@@ -369,7 +369,9 @@ class TestLetters:
         ("--acc 0.9 --eseq 0", "--eseq: e_seq must be positive and finite, got 0.0"),
         ("--acc 0.9 --eseq 10 --total 0", "--total: total_letters must be at least 1, got 0"),
         ("--acc 0.9 --eseq 1e308", "--eseq: e_seq = 1e+308 gives a total beyond the float range"),
-    ], ids=["acc", "eseq", "total", "eseq-overflow"])
+        (f"--acc 0.5 --eseq 1 --total {10**400}",
+         f"--total: total_letters = {10**400} lies beyond the float range"),
+    ], ids=["acc", "eseq", "total", "eseq-overflow", "total-overflow"])
     def test_bad_value_names_option(self, capsys, flags, message):
         assert main(["letters", *flags.split()]) == 2
         out = capsys.readouterr()
@@ -417,6 +419,16 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: {name}: tau must lie in (1/3, 1], got 0.2\n"
         assert not out_dir.exists()
 
+    def test_no_swept_method_names_key(self, tmp_path, capsys):
+        # a sweep leaves M5 out, so a config of M5 alone has nothing to sweep
+        out_dir = tmp_path / "sw"
+        cfg = GOOD_CONFIG.replace("methods = M1,MP,M3", "methods = M5") + f"out_dir = {out_dir}\n"
+        assert main(["sweep", write_config(tmp_path, cfg), "--tau-list", "0.7,0.8"]) == 2
+        assert capsys.readouterr().err == (
+            "error: key 'methods': methods must name a family besides M5 for a sweep, "
+            "got ('M5',)\n")
+        assert not out_dir.exists()
+
     def test_tau_one_runs(self, tmp_path):
         out_dir = tmp_path / "sw"
         cfg = GOOD_CONFIG + f"out_dir = {out_dir}\n"
@@ -444,7 +456,7 @@ class TestBoundsCommand:
         assert [line.split(",")[3] for line in lines] == ["tp_m2norm", "nan", "nan"]
 
     @pytest.mark.parametrize("s_range", ["5:1", "0:3", "2,0", "-1", "1:1000000000000",
-                                         "1:1000000000000000000000"])
+                                         "1:1000000000000000000000", f"1,{10**400}"])
     def test_bad_range_names_option(self, tmp_path, capsys, s_range):
         # an empty range or a count below 1 fails before any output is written
         cfg = GOOD_CONFIG + f"out_dir = {tmp_path / 'bd'}\n"

@@ -19,7 +19,6 @@ from rbc_stoplab.criteria import FAMILIES, calibrate
 from rbc_stoplab.engine import (
     BLOCK,
     CHUNK,
-    SEEK,
     Broadcast,
     EvidenceModel,
     TopN,
@@ -57,15 +56,13 @@ def cell_width(n):
 @st.composite
 def sparse_reads(draw):
     """A row, an ``n`` and sorted trials over blocks 0 to 2, stepping by
-    neighbours, by gaps at the cut between runs and one either side of it,
-    and by gaps that leave lone trials."""
+    neighbours, by short gaps of one or two cells, and by gaps that leave
+    lone trials."""
     n, row = draw(st.integers(2, 20)), draw(st.integers(0, 3))
-    # the fewest skipped cells that end a run
-    cut = SEEK // (CHUNK * cell_width(n)) + 1
     trial = draw(st.one_of(st.sampled_from([0, BLOCK - 2, BLOCK - 1, BLOCK, 2 * BLOCK - 1]),
                            st.integers(0, 3 * BLOCK - 1)))
-    steps = draw(st.lists(st.one_of(st.sampled_from([1, 2, cut, cut + 1, cut + 2]),
-                                    st.integers(1, 1500)), max_size=30))
+    steps = draw(st.lists(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 1500)),
+                          max_size=30))
     trials = [trial]
     for step in steps:
         if trials[-1] + step >= 3 * BLOCK:
@@ -187,6 +184,15 @@ class TestNormals:
         read_cells(streams, np.arange(5000), 1, n)
         assert [s.reads for s in streams.values()] == [1] * 5
         assert sum(s.uniforms for s in streams.values()) == 5000 * cell
+        # one read per run of consecutive trials within a block, however
+        # short the gaps between runs
+        trials = np.array([0, 2, 3, 5, BLOCK - 1, BLOCK])
+        streams = {b: CountingStream(trial_stream(6, b)) for b in range(2)}
+        u = read_cells(streams, trials, 1, n)
+        assert [s.reads for s in streams.values()] == [4, 1]
+        assert [s.uniforms for s in streams.values()] == [5 * cell, cell]
+        whole = read_cells({b: trial_stream(6, b) for b in range(2)}, np.arange(2 * BLOCK), 1, n)
+        np.testing.assert_array_equal(u, whole[trials])
 
     def test_chunk_c_reads_row_c_plus_1(self):
         # reference Box-Muller: radii from a cell's first four sequences,

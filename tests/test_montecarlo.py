@@ -601,6 +601,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             speed_accuracy_sweep(small_config(), [0.2])
 
+    @pytest.mark.parametrize("methods, taus, message", [
+        (("M5",), [0.7], "methods must name a family besides M5"),
+        (("M1", "M5"), [], "tau_list must hold at least one anchor"),
+    ], ids=["only-M5", "no-tau"])
+    def test_nothing_to_sweep_runs_no_trial(self, monkeypatch, methods, taus, message):
+        ran = []
+        monkeypatch.setattr(montecarlo, "classify_until_stop", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            speed_accuracy_sweep(small_config(methods=methods), taus)
+        assert not ran
+
     def test_tau_one_never_stops(self):
         # calibrate's domain (1/n, 1] is the sweep's: at tau = 1 no rule
         # can stop, so every trial counts max_sequences
@@ -695,6 +706,8 @@ class TestLettersProjection:
         with pytest.raises(ValueError, match="e_seq"):
             letters_projection(0.9, 1e308)
         assert letters_projection(0.9, 1e306) == pytest.approx(1.11e308)
+        with pytest.raises(ValueError, match="^total_letters"):
+            letters_projection(0.5, 1.0, 10**400)
 
 
 class TestCsvRoundTrip:

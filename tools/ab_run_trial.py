@@ -1,6 +1,6 @@
 """In-process A/B of ``run_trial`` between this checkout and another.
 
-    python tools/ab_run_trial.py OTHER_SRC [--rounds 8] [--seed 7] [--harness]
+    python tools/ab_run_trial.py OTHER_SRC [--rounds 8] [--seed 7] [--harness | --reads]
 
 ``OTHER_SRC`` is the ``src`` directory of another checkout, for example
 of the parent commit unpacked with ``git archive``.  This checkout's
@@ -38,12 +38,24 @@ process see the same machine, so a few rounds resolve a smaller change.
 ``--harness`` runs the batched loop instead, which shares ``read_cells``
 and the update with ``run_trial`` but stops slices of many trials by its
 own event: ``run_experiment`` on tables T3 and
-T4 at 5,000 trials, and the ``sweep_topn`` benchmark workload's sweep (the
+T4 at 5,000 trials, the ``sweep_topn`` benchmark workload's sweep (the
 T3 prior and T4 model with top-3 querying, 5,000 trials of 40 sequences,
-48 rule-and-tau pairs).  Both sides must give equal stop records and sweep
-points, or the script exits 1.  Each round runs every job once on each
-side, alternating which side goes first, and the script prints each job's
+48 rule-and-tau pairs), and the ``simulate_long`` workload's run (the T3
+prior and T4 model, broadcast, all seven rules, 5,000 trials of 100
+sequences).  Both sides must give equal stop records and sweep points, or
+the script exits 1.  Each round runs every job once on each side,
+alternating which side goes first, and the script prints each job's
 median time per side, their ratio and the rounds each side won.
+
+``--reads`` times only the random draws of those jobs: it records the
+``read_cells`` calls that each job makes on this side, replays every call
+on both sides from streams of the same seed and blocks, and exits 1
+unless they return equal uniforms.  It prints each job's calls and, per
+side, the positioned reads they make and the uniforms those generate;
+then each round replays every job's calls once on each side, alternating
+which side goes first, and it prints the summary line of ``--harness``.
+The harness jobs' times also hold the update and the rules, so this
+resolves a smaller change to the draws.
 """
 
 from __future__ import annotations
@@ -57,6 +69,8 @@ import statistics
 import sys
 import threading
 import time
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SWEEP_TAUS = [0.65, 0.69, 0.72, 0.76, 0.79, 0.83, 0.86, 0.9]  # bench/workload.py's TAU_LIST
@@ -197,6 +211,9 @@ def harness_jobs(pkg, seed: int) -> dict:
     sweep = montecarlo.ExperimentConfig(
         n=t3.n, prior=t3.prior, tau=t4.tau, methods=criteria.FAMILIES, model=t4.model,
         scheme=engine.TopN(3), n_trials=5000, max_sequences=40, master_seed=seed)
+    simulate_long = montecarlo.ExperimentConfig(
+        n=t3.n, prior=t3.prior, tau=t4.tau, methods=criteria.FAMILIES, model=t4.model,
+        n_trials=5000, max_sequences=100, master_seed=seed)
 
     def records(cfg):
         result = montecarlo.run_experiment(cfg)
@@ -206,7 +223,7 @@ def harness_jobs(pkg, seed: int) -> dict:
         return [(p.method, p.tau, p.mean_sequences, p.mean_accuracy)
                 for p in montecarlo.speed_accuracy_sweep(sweep, SWEEP_TAUS)]
     return {"T3": functools.partial(records, t3), "T4": functools.partial(records, t4),
-            "sweep_topn": points}
+            "sweep_topn": points, "simulate_long": functools.partial(records, simulate_long)}
 
 
 def compare_harness(this, other, seed: int, rounds: int) -> bool:
@@ -225,13 +242,84 @@ def compare_harness(this, other, seed: int, rounds: int) -> bool:
     return True
 
 
+class CountedStream:
+    """A stream that counts its reads and the uniforms they generate."""
+
+    def __init__(self, stream) -> None:
+        self.stream, self.bit_generator = stream, stream.bit_generator
+        self.reads = self.uniforms = 0
+
+    def random(self, size=None, out=None):
+        result = self.stream.random(size, out=out)
+        self.reads += 1
+        self.uniforms += result.size
+        return result
+
+
+def read_calls(pkg, job) -> list:
+    """The ``read_cells`` calls that ``job`` makes in package ``pkg``, in
+    order: the blocks of their streams, the trials, the row and ``n``."""
+    engine, montecarlo = pkg.engine, pkg.montecarlo
+    read, calls = engine.read_cells, []
+
+    def recorded(streams, trials, row, n):
+        calls.append((tuple(streams), trials.copy(), row, n))
+        return read(streams, trials, row, n)
+
+    engine.read_cells = montecarlo.read_cells = recorded
+    try:
+        job()
+    finally:
+        engine.read_cells = montecarlo.read_cells = read
+    return calls
+
+
+def replay(read, streams: dict, calls: list) -> None:
+    for _, trials, row, n in calls:
+        read(streams, trials, row, n)
+
+
+def compare_reads(this, other, seed: int, rounds: int) -> bool:
+    """Record the harness jobs' ``read_cells`` calls in package ``this``,
+    check that both packages return equal uniforms for every call, then
+    time the replays in alternating rounds and print one summary line per
+    job; False if some uniforms differ."""
+    jobs, pairs = harness_jobs(this, seed), []
+    for name, job in jobs.items():
+        calls = read_calls(this, job)
+        blocks = sorted({b for call in calls for b in call[0]})
+        counted = [{b: CountedStream(pkg.engine.trial_stream(seed, b)) for b in blocks}
+                   for pkg in (this, other)]
+        for k, (_, trials, row, n) in enumerate(calls):
+            if not np.array_equal(*(pkg.engine.read_cells(streams, trials, row, n)
+                                    for pkg, streams in zip((this, other), counted))):
+                print(f"reads {name}: uniforms differ at call {k} (row {row})")
+                return False
+        print(f"reads {name}: {len(calls)} calls; " + "; ".join(
+            f"{side} {sum(s.reads for s in streams.values())} positioned reads generating "
+            f"{sum(s.uniforms for s in streams.values())} uniforms"
+            for side, streams in zip(("this", "other"), counted)))
+        pairs.append(tuple(functools.partial(replay, pkg.engine.read_cells,
+                                             {b: pkg.engine.trial_stream(seed, b) for b in blocks},
+                                             calls) for pkg in (this, other)))
+    times = alternate(pairs, rounds)
+    for k, name in enumerate(jobs):
+        report(f"reads {name}: median replay", [[run[k] for run in side] for side in times],
+               1e3, "ms")
+    return True
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_src", metavar="OTHER_SRC")
     parser.add_argument("--rounds", type=int, default=8)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--harness", action="store_true",
-                        help="time run_experiment on T3 and T4 and the sweep_topn sweep")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--harness", action="store_true",
+                      help="time run_experiment on T3, T4 and simulate_long and the "
+                           "sweep_topn sweep")
+    mode.add_argument("--reads", action="store_true",
+                      help="time the read_cells calls of the --harness jobs")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -242,6 +330,8 @@ def main(argv=None) -> int:
     print(f"this: {os.path.dirname(this.__file__)}\nother: {os.path.dirname(other.__file__)}")
     if args.harness:
         return 0 if compare_harness(this, other, args.seed, args.rounds) else 1
+    if args.reads:
+        return 0 if compare_reads(this, other, args.seed, args.rounds) else 1
     ok = True
     for mix in ("scalar_geometry", "probes", "sweep_probes"):
         cfgs = configs(this, mix, args.seed)
