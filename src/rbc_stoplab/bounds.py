@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -133,7 +134,13 @@ def _tail(q: BoundQuery, k: float, above: bool) -> float:
     ``s mu`` and log-variance ``s c^2``, lies strictly above (or below) ``k``."""
     if q.c == 0.0:
         return float(q.s * q.mu > math.log(k) if above else q.s * q.mu < math.log(k))
-    arg = (math.log(k) - q.s * q.mu) / (math.sqrt(2.0 * q.s) * q.c)
+    # 2 sqrt(s / 2) is sqrt(2 s) bit for bit, and finite for every s
+    top, bottom = math.log(k) - q.s * q.mu, 2.0 * math.sqrt(0.5 * q.s) * q.c
+    arg = top / bottom
+    if math.isfinite(math.log(k)) and not (math.isfinite(top) and math.isfinite(bottom)):
+        # a term past the float range: the square in exact rationals, capped where erfc is 0 or 2
+        top = Fraction(math.log(k)) - q.s * Fraction(q.mu)
+        arg = math.sqrt(min(top**2 / (2 * q.s * Fraction(q.c)**2), 10**4)) * (-1 if top < 0 else 1)
     return 0.5 * math.erfc(arg if above else -arg)
 
 
@@ -205,6 +212,8 @@ def verify_prop5_ordering(q: BoundQuery, s_range) -> Prop5Report:
         report.fa_mp.append(fa2)
         report.fa_m1bar.append(fa3)
         tol = 1e-12
+        if not all(map(math.isfinite, (tp1, tp2, fa1, fa2, fa3))):
+            report.violations.append(f"s={s}: non-finite TP {tp1}, {tp2} or FA {fa1}, {fa2}, {fa3}")
         if tp2 < tp1 - tol:
             report.violations.append(f"s={s}: TP(MP)={tp2:.6g} < TP(M1)={tp1:.6g}")
         if fa1 > fa2 + tol or fa2 > fa3 + tol:

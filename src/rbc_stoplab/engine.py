@@ -335,11 +335,10 @@ def trial_normals(master_seed: int, trial_index: int, n: int, sequences: int) ->
     return np.concatenate([np.empty((0, n)), *chunks])[:sequences]
 
 
-def _unqueried(scheme: TopN, probs: np.ndarray) -> np.ndarray:
-    """Indices of the classes that top-N querying leaves out along the last
-    axis of ``probs``: those past the first ``n_queries`` of one stable
-    descending sort, so ties go to the lowest index."""
-    return (-probs).argsort(-1, kind="stable")[..., scheme.n_queries:]
+def _ranked(probs: np.ndarray) -> np.ndarray:
+    """The classes along the last axis of ``probs`` in top-N querying's order:
+    one stable descending sort, so ties go to the lowest index."""
+    return (-probs).argsort(-1, kind="stable")
 
 
 def resolve_queried(scheme: QueryScheme, probs: np.ndarray) -> np.ndarray:
@@ -347,16 +346,21 @@ def resolve_queried(scheme: QueryScheme, probs: np.ndarray) -> np.ndarray:
     top-N ties go to the lowest index."""
     queried = np.ones(probs.shape, dtype=bool)
     if isinstance(scheme, TopN):
-        np.put_along_axis(queried, _unqueried(scheme, probs), False, -1)
+        np.put_along_axis(queried, _ranked(probs)[..., scheme.n_queries:], False, -1)
     return queried
 
 
-def _evidence(model: EvidenceModel, true_index: int, z: np.ndarray) -> np.ndarray:
-    """Log evidence of every class, made in place of the standard normals
-    ``z`` of shape ``(..., n)``.  The true class reads the positive
-    channel, the others the negative one: one scale and one shift per
-    class."""
-    sd, mu = model._channels(true_index, z.shape[-1])
+def _evidence(model: EvidenceModel, true_index: int, z: np.ndarray,
+              classes: np.ndarray | None = None) -> np.ndarray:
+    """Log evidence made in place of the standard normals ``z``, of every
+    class along its last axis, or with ``classes`` of the class each cell
+    holds.  The true class reads the positive channel, the others the
+    negative one: one scale and one shift per cell."""
+    if classes is None:
+        sd, mu = model._channels(true_index, z.shape[-1])
+    else:
+        pos = classes == true_index
+        sd, mu = np.where(pos, model.c_pos, model.c_neg), np.where(pos, model.mu_pos, model.mu_neg)
     z *= sd
     z += mu
     return z
@@ -387,10 +391,15 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     ``montecarlo._batch`` and :func:`run_trial`); ``trials`` holds the
     sorted trial indices and ``streams`` the stream of each of their
     blocks.  Each chunk's Box-Muller radii and angles are made in place of
-    its uniforms and give the cosines of its first half for the whole
-    batch, and the sines of its second half for the trials still in it.
-    Each half's log evidence is made once, in place of its normals; a
-    step's unqueried cells are zeroed as the step reads them.
+    its uniforms.  A top-N slice of several trials that queries under half
+    the classes (``2 N < n``) takes each step's cosines (first half) or
+    sines (second half) for the cells it queries only, and scatters their
+    log evidence into zeros.  Otherwise a chunk gives the cosines of its
+    first half for the whole batch, the sines of its second half for the
+    trials still in it, and each half's log evidence at once, in place of
+    its normals; a step's unqueried cells are zeroed as the step reads
+    them.  For a batch of one, or a near-broadcast slice, per-step calls
+    would cost more than the trig they save.
 
     Each sequence updates every trial in the log domain and tests every
     rule on the new states (and on the priors with ``check_prior``).
@@ -429,13 +438,15 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     plan, statistics = list(dict(zip(keys, rules)).items()), {}
     tests = [(key, *stop_test(rule)) for key, rule in zip(keys, rules)]
     logp = log_priors
-    # live: the trial columns of the evidence that belong to the batch's
-    # trials, None while all of them do
+    # live: the batch's trials' columns of the evidence held (of the polar
+    # on the per-step path), None while every column is
     previous = live = polar = None
     some_stopped = False
     # resume: the first state made, not read back from states; made: the
     # half-chunk whose evidence the loop holds
     resume, made = len(states) if states else 1, -1
+    top = cfg.scheme.n_queries if isinstance(cfg.scheme, TopN) else 0
+    per_step = t_count > 1 and 0 < 2 * top < n
     for s in range(cfg.max_sequences + 1):
         if s >= resume:
             h, step = divmod(s - 1, CHUNK // 2)
@@ -448,15 +459,25 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
                     polar = None
                 if polar is None:
                     polar, live = _polar(streams, trials, chunk, n), None
-                # a chunk's second half only for the trials still in the batch;
-                # evidence (CHUNK / 2, T, n)
-                z, live = _half_normals(polar, half, live), None
-                evidence = _evidence(cfg.model, cfg.true_index, z.transpose(0, 2, 1))
-            log_e = evidence[step] if live is None else evidence[step].T.take(live, 1).T
-            if not isinstance(cfg.scheme, Broadcast):
-                # only this step reads its cells, so they take its zeros in place
-                unqueried = _unqueried(cfg.scheme, np.exp(logp))
-                log_e[np.arange(len(unqueried))[:, None], unqueried] = 0.0
+                if not per_step:
+                    # a chunk's second half only for the trials still in the
+                    # batch; evidence (CHUNK / 2, T, n)
+                    z, live = _half_normals(polar, half, live), None
+                    evidence = _evidence(cfg.model, cfg.true_index, z.transpose(0, 2, 1))
+            if per_step:
+                # the queried cells (N, T): gathered from the chunk's polar, scattered into zeros
+                queried, at = _ranked(np.exp(logp)).T[:top], np.arange(len(logp))
+                cells = queried * polar[0].shape[2] + (at if live is None else live)
+                z = (np.sin if half else np.cos)(polar[1][step].take(cells))
+                z *= polar[0][step].take(cells)
+                log_e = np.zeros((n, len(logp)))
+                log_e.put(queried * len(at) + at, _evidence(cfg.model, cfg.true_index, z, queried))
+                log_e = log_e.T
+            else:
+                log_e = evidence[step] if live is None else evidence[step].T.take(live, 1).T
+                if top:
+                    # only this step reads its cells, so they take its zeros in place
+                    log_e[np.arange(len(logp))[:, None], _ranked(np.exp(logp))[:, top:]] = 0.0
             logp = _normalize_log_weights(logp + log_e)
             if states is not None:
                 states.append(logp)

@@ -1,12 +1,14 @@
 """Analytic stopping bounds: special function, thresholds, probabilities."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rbc_stoplab import bounds
 from rbc_stoplab.bounds import (
     RULE_KINDS,
     BoundQuery,
@@ -612,6 +614,8 @@ def exact_tail(k, q, above):
         return 1.0 if above else 0.0
     with mpmath.workdps(50):
         arg = (mpmath.log(k) - q.s * mpmath.mpf(q.mu)) / (mpmath.sqrt(2 * q.s) * q.c)
+        # past 100 the tail is 0 or 1 in floats; mpmath's erfc fails past 1e300
+        arg = max(min(arg, 100), -100)
         return float(0.5 * mpmath.erfc(arg if above else -arg))
 
 
@@ -629,6 +633,39 @@ class TestTailsMatchHighPrecision:
                 exact = exact_tail(_false_ratio(q, variant), q, above=False)
                 assert false_stop_probability(q, variant) == pytest.approx(
                     exact, rel=1e-12, abs=0)
+
+
+class TestTailsPastTheFloatRange:
+    # 2 s overflows past s = 9e307, s mu past s = 3.6e307 at mu = 5, and
+    # sqrt(2 s) c past c = 1.3e154 at the largest s
+    @pytest.mark.parametrize("mu", [0.6, 5.0])
+    def test_largest_counts_keep_their_tails(self, mu):
+        q = BoundQuery(sp([0.42, 0.55, 0.03]), 0, 1, 0.8, mu=mu, c=0.5)
+        report = verify_prop5_ordering(q, [10**200, 10**308])
+        assert report.ok
+        assert report.tp_m1 == report.tp_mp == [1.0, 1.0]
+        assert report.fa_m1 == report.fa_mp == report.fa_m1bar == [0.0, 0.0]
+
+    @pytest.mark.parametrize("mu", [0.6, 5.0, -5.0, 1e-150, 1e300])
+    @pytest.mark.parametrize("c", [0.5, 3e153, 1e155, 1e308])
+    @pytest.mark.parametrize("s", [10**200, 10**308, int(sys.float_info.max)],
+                             ids=["1e200", "1e308", "float-max"])
+    def test_tails_match_high_precision(self, s, c, mu):
+        prior = sp([0.42, 0.55, 0.03])
+        for kind in RULE_KINDS:
+            q = BoundQuery(prior, 0, 1, 0.8, mu=mu, c=c, s=s, rule_kind=kind)
+            exact = exact_tail(stop_ratio_constant(q), q, above=True)
+            assert stop_probability_lognormal(q) == pytest.approx(exact, rel=1e-12, abs=0)
+        for variant in ("M1", "MP", "M1bar"):
+            ratio = _false_ratio(q, variant)
+            exact = 0.0 if ratio <= 0.0 else exact_tail(ratio, q, above=False)
+            assert false_stop_probability(q, variant) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_a_non_finite_probability_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(bounds, "false_stop_probability", lambda q, variant: math.nan)
+        report = verify_prop5_ordering(BoundQuery(sp([0.42, 0.55, 0.03]), 0, 1, 0.8), [3])
+        assert not report.ok
+        assert report.violations[0].startswith("s=3: non-finite TP")
 
 
 def anchored_tau(kind, n, u):

@@ -52,12 +52,14 @@ def formula_renyi(log_probs, alpha):
     return (m + np.log(_class_sum(scaled))) / ((1.0 - alpha) * _LOG2)
 
 
-def formula_evidence(model, true_index, z):
-    true = z[..., true_index] * model.c_pos
-    true += model.mu_pos
+def formula_evidence(model, true_index, z, classes=None):
+    true = np.broadcast_to(np.arange(z.shape[-1]) if classes is None else classes,
+                           z.shape) == true_index
+    positive = z[true] * model.c_pos
+    positive += model.mu_pos
     z *= model.c_neg
     z += model.mu_neg
-    z[..., true_index] = true
+    z[true] = positive
     return z
 
 
@@ -116,10 +118,28 @@ class TestKernelsMatchTheirFormulas:
         formula_evidence(model, true_index, want)
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data(), st.tuples(*[st.floats(-50, 50)] * 2), st.tuples(*[st.floats(0, 50)] * 2))
+    def test_evidence_of_queried_cells(self, data, mu, c):
+        # a top-N slice's step: the (N, T) normals of its queried cells and
+        # their classes, class-major like the loop's ranking
+        n, t = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 40))
+        classes = data.draw(hnp.arrays(np.intp, (t, data.draw(st.integers(1, n))),
+                                       elements=st.integers(0, n - 1))).T
+        z = data.draw(hnp.arrays(np.float64, classes.shape, elements=st.floats(-9, 9)))
+        true_index = data.draw(st.integers(0, n - 1))
+        model = EvidenceModel(mu[0], c[0], mu[1], c[1])
+        got = z.copy()
+        assert _evidence(model, true_index, got, classes) is got
+        assert got.tobytes() == formula_evidence(model, true_index, z.copy(), classes).tobytes()
+        want = formula_evidence(model, true_index, np.repeat(z[..., None], n, -1))
+        assert got.tobytes() == np.take_along_axis(want, classes[..., None], -1)[..., 0].tobytes()
+
 
 def outputs():
     """Records of T3 and of a zero-mass ``TopN(2)`` config, a ``TopN(3)``
-    sweep, and ``run_trial`` paths of every family under both schemes."""
+    sweep, and ``run_trial`` paths of every family under both schemes.  The
+    two top-N slices make each step's normals for its queried cells only."""
     out = []
     zero_mass = ExperimentConfig(
         n=5, prior=SimplexPoint.from_probs([0.5, 0.0, 0.3, 0.2, 0.0]), tau=0.8,
@@ -157,7 +177,14 @@ def test_runs_match_with_the_formulas_swapped_back(monkeypatch, fresh_prior_cach
         monkeypatch.setattr(module, "_normalize_log_weights", formula_normalize)
     for module in (simplex, criteria):
         monkeypatch.setattr(module, "renyi_bits", formula_renyi)
-    monkeypatch.setattr(engine, "_evidence", formula_evidence)
+    calls = []
+
+    def evidence(model, true_index, z, classes=None):
+        calls.append(classes is not None and len(z.T) > 1)
+        return formula_evidence(model, true_index, z, classes)
+    monkeypatch.setattr(engine, "_evidence", evidence)
     formulas = outputs()
+    # the top-N sweep and zero-mass config make a step's queried cells alone
+    assert any(calls) and not all(calls)
     assert len(kernels) == len(formulas)
     assert [i for i, (a, b) in enumerate(zip(kernels, formulas)) if a != b] == []

@@ -351,6 +351,94 @@ class TestHarnessMatchesEngine:
                 assert path.tobytes() == kept[t, :len(path)].tobytes(), (m, t)
 
 
+@st.composite
+def top_n_cases(draw):
+    """A top-N harness config over every family: n from 2 to 20 with N on
+    both sides of 2 N < n, priors with tied and zero-mass classes, evidence
+    far outside the bundled tables (log-sd 0 keeps tied classes tied), a
+    slice of several trials and at least 17 sequences, so two chunk
+    boundaries are crossed."""
+    n = draw(st.integers(2, 20))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.01, 1.0),
+                            min_size=n, max_size=n).filter(lambda w: sum(w) > 0))
+    # evidence weak and noisy enough that trials leave at different steps,
+    # or far outside the bundled tables
+    weak = st.tuples(*[st.floats(-1.0, 1.0), st.floats(0.2, 1.5)] * 2)
+    log_mean, log_sd = st.floats(-300.0, 300.0), st.just(0.0) | st.floats(0.0, 50.0)
+    model = draw(weak | st.tuples(log_mean, log_sd, log_mean, log_sd))
+    return ExperimentConfig(
+        n=n,
+        prior=sp(weights),
+        tau=draw(st.floats(1.0 / n, 1.0, exclude_min=True)),
+        # few rules, so that trials leave the slice at different steps
+        methods=tuple(draw(st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=3,
+                                    unique=True))),
+        model=EvidenceModel(*model),
+        true_index=draw(st.integers(0, n - 1)),
+        scheme=TopN(draw(st.integers(1, n))),
+        n_trials=draw(st.integers(2, 24)),
+        max_sequences=draw(st.integers(17, 24)),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        check_prior=draw(st.booleans()),
+    )
+
+
+def top_n_case(n, weights, model, top, **overrides):
+    return ExperimentConfig(**{**dict(
+        n=n, prior=sp(weights), tau=0.85, methods=FAMILIES, model=model, true_index=1,
+        scheme=TopN(top), n_trials=12, max_sequences=20, master_seed=0), **overrides})
+
+
+class TestTopNSlices:
+    """A top-N slice whose steps read under half their cells makes each
+    step's normals for its queried cells only (``classify_until_stop``);
+    a batch of one, like every ``run_trial`` call, makes a half-chunk's at
+    once.  Both must give the oracle's records and one path, bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(top_n_cases())
+    # trials leave after steps 11, 13 and 17, in the middle of a half of
+    # chunks 1 and 2, and some run all 20 sequences
+    @example(top_n_case(20, [1.0] * 8 + [0.5] * 8 + [0.0] * 4,
+                        EvidenceModel(0.5, 0.6, 0.0, 0.6), 9))
+    # tied classes, zero-mass classes and constant evidence: every step ties
+    @example(top_n_case(7, [0.3, 0.3, 0.0, 0.2, 0.2, 0.0, 0.0], EvidenceModel(0.3, 0.0, 0.3, 0.0),
+                        3, tau=0.8, check_prior=False))
+    def test_slices_match_run_trial_and_the_oracle(self, cfg):
+        res = run_experiment(cfg)
+        kept = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths
+        for m, method in enumerate(cfg.methods):
+            rule = calibrate(method, cfg.tau, cfg.n)
+            for t in range(cfg.n_trials):
+                first, decision = oracle_trial(cfg, rule, t)
+                assert res.first_stop[m, t] == first, (method, t)
+                assert bool(res.stop_correct[m, t]) == (decision == cfg.true_index), (method, t)
+                out = run_trial(TrialConfig(
+                    prior=cfg.prior, true_index=cfg.true_index, rule=rule,
+                    model=cfg.model, scheme=cfg.scheme,
+                    max_sequences=cfg.max_sequences, seed=cfg.master_seed,
+                    trial_index=t, check_prior=cfg.check_prior))
+                assert (out.stopped_at, out.decision) == \
+                    ((None, None) if first < 0 else (first, decision)), (method, t)
+                path = np.exp(out.log_probs)
+                assert path.tobytes() == kept[t, :len(path)].tobytes(), (method, t)
+
+    @pytest.mark.parametrize("n, scheme, n_trials, per_step", [
+        (10, TopN(3), 40, True), (10, TopN(4), 40, True), (10, TopN(5), 40, False),
+        (10, TopN(3), 1, False), (10, Broadcast(), 40, False), (3, TopN(1), 40, True),
+        (3, TopN(2), 40, False), (2, TopN(1), 40, False)])
+    def test_only_slices_reading_few_cells_make_normals_per_step(self, monkeypatch, n, scheme,
+                                                                 n_trials, per_step):
+        halves, half_normals = [], engine._half_normals
+        monkeypatch.setattr(engine, "_half_normals",
+                            lambda *args: halves.append(args) or half_normals(*args))
+        cfg = small_config(n=n, prior=SimplexPoint.uniform(n), tau=0.95, scheme=scheme,
+                           n_trials=n_trials)
+        res = run_experiment(cfg)
+        assert (not halves) == per_step
+        assert (res.first_stop != 0).all()
+
+
 class TestBatchLayout:
     def test_harness_batches_are_class_major(self, monkeypatch):
         # a row-major batch gives the same numbers, only slower, so no

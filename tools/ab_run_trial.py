@@ -40,12 +40,15 @@ and the update with ``run_trial`` but stops slices of many trials by its
 own event: ``run_experiment`` on tables T3 and
 T4 at 5,000 trials, the ``sweep_topn`` benchmark workload's sweep (the
 T3 prior and T4 model with top-3 querying, 5,000 trials of 40 sequences,
-48 rule-and-tau pairs), and the ``simulate_long`` workload's run (the T3
-prior and T4 model, broadcast, all seven rules, 5,000 trials of 100
-sequences).  Both sides must give equal stop records and sweep points, or
-the script exits 1.  Each round runs every job once on each side,
-alternating which side goes first, and the script prints each job's
-median time per side, their ratio and the rounds each side won.
+48 rule-and-tau pairs), the same sweep with top-6 querying (a near-broadcast
+scheme, whose steps read most of their cells), and the ``simulate_long``
+workload's run (the T3 prior and T4 model, broadcast, all seven rules,
+5,000 trials of 100 sequences).  Both sides must give equal stop records
+and sweep points, or the script exits 1.  It prints the Box-Muller trig
+evaluations (cosines plus sines) that each job makes on each side.  Each
+round runs every job once on each side, alternating which side goes
+first, and the script prints each job's median time per side, their ratio
+and the rounds each side won.
 
 ``--reads`` times only the random draws of those jobs: it records the
 ``read_cells`` calls that each job makes on this side, replays every call
@@ -69,6 +72,7 @@ import statistics
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -211,6 +215,7 @@ def harness_jobs(pkg, seed: int) -> dict:
     sweep = montecarlo.ExperimentConfig(
         n=t3.n, prior=t3.prior, tau=t4.tau, methods=criteria.FAMILIES, model=t4.model,
         scheme=engine.TopN(3), n_trials=5000, max_sequences=40, master_seed=seed)
+    sweep_top6 = replace(sweep, scheme=engine.TopN(6))
     simulate_long = montecarlo.ExperimentConfig(
         n=t3.n, prior=t3.prior, tau=t4.tau, methods=criteria.FAMILIES, model=t4.model,
         n_trials=5000, max_sequences=100, master_seed=seed)
@@ -219,11 +224,43 @@ def harness_jobs(pkg, seed: int) -> dict:
         result = montecarlo.run_experiment(cfg)
         return result.first_stop.tobytes(), result.stop_correct.tobytes()
 
-    def points():
+    def points(cfg):
         return [(p.method, p.tau, p.mean_sequences, p.mean_accuracy)
-                for p in montecarlo.speed_accuracy_sweep(sweep, SWEEP_TAUS)]
+                for p in montecarlo.speed_accuracy_sweep(cfg, SWEEP_TAUS)]
     return {"T3": functools.partial(records, t3), "T4": functools.partial(records, t4),
-            "sweep_topn": points, "simulate_long": functools.partial(records, simulate_long)}
+            "sweep_topn": functools.partial(points, sweep),
+            "sweep_top6": functools.partial(points, sweep_top6),
+            "simulate_long": functools.partial(records, simulate_long)}
+
+
+class TrigCounter:
+    """numpy as a package's ``engine`` reads it, counting the elements of
+    the cosines and sines it takes: Box-Muller's trig evaluations."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def __getattr__(self, name: str):
+        return getattr(np, name)
+
+    def cos(self, x, *args, **kwargs):
+        self.count += np.size(x)
+        return np.cos(x, *args, **kwargs)
+
+    def sin(self, x, *args, **kwargs):
+        self.count += np.size(x)
+        return np.sin(x, *args, **kwargs)
+
+
+def trig_count(pkg, job) -> int:
+    """The Box-Muller trig evaluations that ``job`` makes in package ``pkg``."""
+    engine, counter = pkg.engine, TrigCounter()
+    engine.np = counter
+    try:
+        job()
+    finally:
+        engine.np = np
+    return counter.count
 
 
 def compare_harness(this, other, seed: int, rounds: int) -> bool:
@@ -235,6 +272,8 @@ def compare_harness(this, other, seed: int, rounds: int) -> bool:
         if jobs_a[name]() != jobs_b[name]():
             print(f"harness {name}: results differ")
             return False
+        print(f"harness {name}: Box-Muller trig evaluations (cosines plus sines) this "
+              f"{trig_count(this, jobs_a[name]):,}, other {trig_count(other, jobs_b[name]):,}")
     times = alternate([(jobs_a[name], jobs_b[name]) for name in jobs_a], rounds)
     for k, name in enumerate(jobs_a):
         report(f"harness {name}: median run", [[run[k] for run in side] for side in times],
