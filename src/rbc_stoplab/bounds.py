@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -138,9 +137,9 @@ def _tail(q: BoundQuery, k: float, above: bool) -> float:
     top, bottom = math.log(k) - q.s * q.mu, 2.0 * math.sqrt(0.5 * q.s) * q.c
     arg = top / bottom
     if math.isfinite(math.log(k)) and not (math.isfinite(top) and math.isfinite(bottom)):
-        # a term past the float range: the square in exact rationals, capped where erfc is 0 or 2
-        top = Fraction(math.log(k)) - q.s * Fraction(q.mu)
-        arg = math.sqrt(min(top**2 / (2 * q.s * Fraction(q.c)**2), 10**4)) * (-1 if top < 0 else 1)
+        # a term past the float range: the same ratio rescaled by s, finite
+        # or the right infinity for every s
+        arg = (math.log(k) / q.s - q.mu) * (math.sqrt(0.5 * q.s) / q.c)
     return 0.5 * math.erfc(arg if above else -arg)
 
 

@@ -391,14 +391,13 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     ``montecarlo._batch`` and :func:`run_trial`); ``trials`` holds the
     sorted trial indices and ``streams`` the stream of each of their
     blocks.  Each chunk's Box-Muller radii and angles are made in place of
-    its uniforms.  A top-N slice of several trials that queries under half
-    the classes (``2 N < n``) takes each step's cosines (first half) or
-    sines (second half) for the cells it queries only, and scatters their
-    log evidence into zeros.  Otherwise a chunk gives the cosines of its
-    first half for the whole batch, the sines of its second half for the
-    trials still in it, and each half's log evidence at once, in place of
-    its normals; a step's unqueried cells are zeroed as the step reads
-    them.  For a batch of one, or a near-broadcast slice, per-step calls
+    its uniforms.  A top-N slice of several trials takes each step's
+    cosines (first half) or sines (second half) for the cells it queries
+    only, and scatters their log evidence into zeros.  Otherwise a chunk
+    gives the cosines of its first half for the whole batch, the sines of
+    its second half for the trials still in it, and each half's log
+    evidence at once, in place of its normals; a step's unqueried cells are
+    zeroed as the step reads them.  For a batch of one, per-step calls
     would cost more than the trig they save.
 
     Each sequence updates every trial in the log domain and tests every
@@ -446,7 +445,7 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     # half-chunk whose evidence the loop holds
     resume, made = len(states) if states else 1, -1
     top = cfg.scheme.n_queries if isinstance(cfg.scheme, TopN) else 0
-    per_step = t_count > 1 and 0 < 2 * top < n
+    per_step = t_count > 1 and top
     for s in range(cfg.max_sequences + 1):
         if s >= resume:
             h, step = divmod(s - 1, CHUNK // 2)

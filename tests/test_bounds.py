@@ -613,7 +613,9 @@ def exact_tail(k, q, above):
     if k <= 0.0:
         return 1.0 if above else 0.0
     with mpmath.workdps(50):
-        arg = (mpmath.log(k) - q.s * mpmath.mpf(q.mu)) / (mpmath.sqrt(2 * q.s) * q.c)
+        # s as an mpf: 2 s of a float s past 9e307 is inf in floats
+        s = mpmath.mpf(q.s)
+        arg = (mpmath.log(k) - s * q.mu) / (mpmath.sqrt(2 * s) * q.c)
         # past 100 the tail is 0 or 1 in floats; mpmath's erfc fails past 1e300
         arg = max(min(arg, 100), -100)
         return float(0.5 * mpmath.erfc(arg if above else -arg))
@@ -641,15 +643,17 @@ class TestTailsPastTheFloatRange:
     @pytest.mark.parametrize("mu", [0.6, 5.0])
     def test_largest_counts_keep_their_tails(self, mu):
         q = BoundQuery(sp([0.42, 0.55, 0.03]), 0, 1, 0.8, mu=mu, c=0.5)
-        report = verify_prop5_ordering(q, [10**200, 10**308])
+        # a float count takes the same path as an int one
+        report = verify_prop5_ordering(q, [10**200, 10**308, 1e308])
         assert report.ok
-        assert report.tp_m1 == report.tp_mp == [1.0, 1.0]
-        assert report.fa_m1 == report.fa_mp == report.fa_m1bar == [0.0, 0.0]
+        assert report.tp_m1 == report.tp_mp == [1.0] * 3
+        assert report.fa_m1 == report.fa_mp == report.fa_m1bar == [0.0] * 3
 
     @pytest.mark.parametrize("mu", [0.6, 5.0, -5.0, 1e-150, 1e300])
     @pytest.mark.parametrize("c", [0.5, 3e153, 1e155, 1e308])
-    @pytest.mark.parametrize("s", [10**200, 10**308, int(sys.float_info.max)],
-                             ids=["1e200", "1e308", "float-max"])
+    @pytest.mark.parametrize("s", [10**200, 10**308, int(sys.float_info.max), 1e308,
+                                   sys.float_info.max],
+                             ids=["1e200", "1e308", "float-max", "1e308-float", "float-max-float"])
     def test_tails_match_high_precision(self, s, c, mu):
         prior = sp([0.42, 0.55, 0.03])
         for kind in RULE_KINDS:

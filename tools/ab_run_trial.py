@@ -40,8 +40,7 @@ and the update with ``run_trial`` but stops slices of many trials by its
 own event: ``run_experiment`` on tables T3 and
 T4 at 5,000 trials, the ``sweep_topn`` benchmark workload's sweep (the
 T3 prior and T4 model with top-3 querying, 5,000 trials of 40 sequences,
-48 rule-and-tau pairs), the same sweep with top-6 querying (a near-broadcast
-scheme, whose steps read most of their cells), and the ``simulate_long``
+48 rule-and-tau pairs), and the ``simulate_long``
 workload's run (the T3 prior and T4 model, broadcast, all seven rules,
 5,000 trials of 100 sequences).  Both sides must give equal stop records
 and sweep points, or the script exits 1.  It prints the Box-Muller trig
@@ -72,7 +71,6 @@ import statistics
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -215,7 +213,6 @@ def harness_jobs(pkg, seed: int) -> dict:
     sweep = montecarlo.ExperimentConfig(
         n=t3.n, prior=t3.prior, tau=t4.tau, methods=criteria.FAMILIES, model=t4.model,
         scheme=engine.TopN(3), n_trials=5000, max_sequences=40, master_seed=seed)
-    sweep_top6 = replace(sweep, scheme=engine.TopN(6))
     simulate_long = montecarlo.ExperimentConfig(
         n=t3.n, prior=t3.prior, tau=t4.tau, methods=criteria.FAMILIES, model=t4.model,
         n_trials=5000, max_sequences=100, master_seed=seed)
@@ -229,7 +226,6 @@ def harness_jobs(pkg, seed: int) -> dict:
                 for p in montecarlo.speed_accuracy_sweep(cfg, SWEEP_TAUS)]
     return {"T3": functools.partial(records, t3), "T4": functools.partial(records, t4),
             "sweep_topn": functools.partial(points, sweep),
-            "sweep_top6": functools.partial(points, sweep_top6),
             "simulate_long": functools.partial(records, simulate_long)}
 
 
