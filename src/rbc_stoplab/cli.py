@@ -107,18 +107,13 @@ def _need(raw: dict[str, str], key: str) -> str:
     return raw[key]
 
 
-def _parse_float(raw: dict[str, str], key: str) -> float:
+def _parse_number(raw: dict[str, str], key: str, kind: type = float) -> float | int:
+    """The value of ``key`` as a ``kind`` (``float`` or ``int``)."""
     try:
-        return float(_need(raw, key))
+        return kind(_need(raw, key))
     except ValueError:
-        raise ConfigError(f"key {key!r}: not a number: {raw[key]!r}") from None
-
-
-def _parse_int(raw: dict[str, str], key: str) -> int:
-    try:
-        return int(_need(raw, key))
-    except ValueError:
-        raise ConfigError(f"key {key!r}: not an integer: {raw[key]!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r}: not {noun}: {raw[key]!r}") from None
 
 
 def build_experiment_config(raw: dict[str, str]) -> tuple[ExperimentConfig, dict[str, str]]:
@@ -129,7 +124,7 @@ def build_experiment_config(raw: dict[str, str]) -> tuple[ExperimentConfig, dict
         raise ConfigError(f"key 'rng_layout': this version draws with {RNG_LAYOUT!r}, so a run "
                           f"recorded with {resolved['rng_layout']!r} cannot be reproduced")
 
-    n = _parse_int(resolved, "n")
+    n = _parse_number(resolved, "n", int)
     prior_text = _need(resolved, "prior")
     prior: SimplexPoint | RandomRemainder
     if prior_text.startswith("random_remainder:"):
@@ -163,15 +158,15 @@ def build_experiment_config(raw: dict[str, str]) -> tuple[ExperimentConfig, dict
         cfg = ExperimentConfig(
             n=n,
             prior=prior,
-            tau=_parse_float(resolved, "tau"),
+            tau=_parse_number(resolved, "tau"),
             methods=methods,
-            model=EvidenceModel(**{key: _parse_float(resolved, key)
+            model=EvidenceModel(**{key: _parse_number(resolved, key)
                                    for key in ("mu_pos", "c_pos", "mu_neg", "c_neg")}),
-            true_index=_parse_int(resolved, "true_index"),
+            true_index=_parse_number(resolved, "true_index", int),
             scheme=scheme,
-            n_trials=_parse_int(resolved, "trials"),
-            max_sequences=_parse_int(resolved, "max_sequences"),
-            master_seed=_parse_int(resolved, "seed"),
+            n_trials=_parse_number(resolved, "trials", int),
+            max_sequences=_parse_number(resolved, "max_sequences", int),
+            master_seed=_parse_number(resolved, "seed", int),
         )
     except (ValueError, TooLarge) as exc:
         raise ConfigError(_named(exc, _FIELD_KEYS)) from None
@@ -341,7 +336,7 @@ def _cmd_trajectories(args) -> int:
     if not isinstance(cfg.prior, SimplexPoint):
         raise ConfigError("key 'prior': trajectories need an explicit prior vector")
     _own_option(args, resolved, "paths", "n_trials", default="100")
-    ens = trajectory_ensemble(cfg, _parse_int(resolved, "paths"))
+    ens = trajectory_ensemble(cfg, _parse_number(resolved, "paths", int))
     cols = [f"p{i + 1}" for i in range(cfg.n)]
     write_outputs(resolved["out_dir"], resolved, [
         ("trajectory_mean.csv", ["s", *cols], ([s, *row] for s, row in enumerate(ens.mean))),

@@ -80,6 +80,15 @@ class TestConfigParsing:
         assert rc == 2
         assert "tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, bad, err", [
+        ("n = 3", "n = x", "error: key 'n': not an integer: 'x'\n"),
+        ("tau = 0.8", "tau = oops", "error: key 'tau': not a number: 'oops'\n"),
+    ])
+    def test_unparsable_number_message(self, tmp_path, capsys, line, bad, err):
+        path = write_config(tmp_path, GOOD_CONFIG.replace(line, bad))
+        assert main(["simulate", path]) == 2
+        assert capsys.readouterr().err == err
+
     def test_scheme_wider_than_n_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path,
                             GOOD_CONFIG.replace("scheme = broadcast", "scheme = topN:5"))
