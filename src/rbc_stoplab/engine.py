@@ -415,14 +415,15 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     -1 if it never stopped, and whether the argmax decision there (lowest
     index on ties) is the true class, False if it never stopped.
 
-    ``states``, if given, holds the batch's log states so far, one
-    ``(T_s, n)`` array per state for the trials still in the batch,
-    starting with ``log_priors``.  The loop reads the states past the
-    first back instead of updating, runs the stop tests on them as on new
-    ones, resumes the update at the list's end, mid-half if need be, and
-    appends the states it makes; it returns the list up to the last state
-    it tested, which with no rules holds every trial.  (:func:`run_trial`
-    passes the path it keeps for its trial.)
+    ``states``, if given, is empty or a path of the batch that the caller
+    has already tested and found no stop on: one ``(T, n)`` array of log
+    states per state, starting with ``log_priors``.  The loop extends it
+    and never tests its states again: it starts at the state after its
+    end, mid-half if need be, with M5 comparing with its last state when
+    that state was tested, appends each state it makes for the trials still
+    in the batch, and returns the list, which ends at the last state it
+    tested and with no rules holds every trial.  (:func:`run_trial` passes
+    the path it keeps for its trial once it has tested the kept states.)
     """
     t_count, n = log_priors.shape
     first = np.empty((len(rules), t_count), int)
@@ -436,18 +437,18 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
     # each sequence: a comprehension would make a function call of each fill
     plan, statistics = list(dict(zip(keys, rules)).items()), {}
     tests = [(key, *stop_test(rule)) for key, rule in zip(keys, rules)]
-    logp = log_priors
+    logp = states[-1] if states else log_priors
+    # previous: the state of M5's last evaluation, a tested path's end
+    previous = logp if states and (len(states) > 1 or cfg.check_prior) else None
     # live: the batch's trials' columns of the evidence held (of the polar
     # on the per-step path), None while every column is
-    previous = live = polar = None
+    live = polar = None
     some_stopped = False
-    # resume: the first state made, not read back from states; made: the
-    # half-chunk whose evidence the loop holds
-    resume, made = len(states) if states else 1, -1
+    made = -1  # the half-chunk whose evidence the loop holds
     top = cfg.scheme.n_queries if isinstance(cfg.scheme, TopN) else 0
     per_step = t_count > 1 and top
-    for s in range(cfg.max_sequences + 1):
-        if s >= resume:
+    for s in range(len(states or ()), cfg.max_sequences + 1):
+        if s:
             h, step = divmod(s - 1, CHUNK // 2)
             if h != made:
                 # spent evidence, and at a new chunk the spent polar, are
@@ -478,10 +479,8 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
                     # only this step reads its cells, so they take its zeros in place
                     log_e[np.arange(len(logp))[:, None], _ranked(np.exp(logp))[:, top:]] = 0.0
             logp = _normalize_log_weights(logp + log_e)
-            if states is not None:
-                states.append(logp)
-        elif s:
-            logp = states[s]
+        if states is not None:
+            states.append(logp)
         if not rules or not (s or cfg.check_prior):
             continue
         for key, rule in plan:
@@ -522,7 +521,7 @@ def classify_until_stop(cfg, rules, log_priors: np.ndarray, streams: dict, trial
             live = keep.nonzero()[0] if live is None else live[keep]
             # indexing would return the kept states row-major
             logp = previous = logp.T.compress(keep, 1).T
-    return first, correct, None if states is None else states[:s + 1]
+    return first, correct, states
 
 
 def run_trial(config: TrialConfig) -> TrialOutcome:
@@ -535,30 +534,50 @@ def run_trial(config: TrialConfig) -> TrialOutcome:
     censors the trial.  The outcome's path holds the loop's own states, so
     they equal the harness's states for the same trial bit for bit; the
     decision is read off the path's row at the stop, the state on which the
-    loop tested it.
+    rule was tested.
 
     Each thread reuses its stream of a ``(seed, block)`` across calls,
     with a record of the path of log states of the last trial it ran, so
     back-to-back calls on one trial that share its path (see
-    :class:`TrialConfig`) update it once and replay it after; each prior
-    is normalized for the loop once; both are kept in small bounded
-    caches.  The path is keyed by the trial, the prior's normalized log
-    weights and the model, held by identity (equal models may differ in a
-    zero's sign), and the true class and scheme; another key replaces it.
+    :class:`TrialConfig`) update it once; each prior is normalized for the
+    loop once; both are kept in small bounded caches.  The path is keyed by
+    the trial, the prior's normalized log weights and the model, held by
+    identity (equal models may differ in a zero's sign), and the true class
+    and scheme; another key replaces it.  A call under the kept key tests
+    the kept states up to its horizon in one pass over their ``(k, n)``
+    stack, and returns at their first stop, or censored at the horizon;
+    only past them does it run the loop, which extends the tested path.
     """
     block, logp = config.trial_index // BLOCK, _log_prior(config.prior)
     stream, record = _thread_stream(threading.get_ident(), config.seed, block)
-    key = record[0]
+    key, low = record[0], 0 if config.check_prior else 1
     if (key is None or key[0] != config.trial_index or key[1] is not logp
             or key[2] is not config.model or key[3] != config.true_index
             or key[4] != config.scheme):
         record[:] = (config.trial_index, logp, config.model, config.true_index,
-                     config.scheme), [logp]
+                     config.scheme), []
+    elif len(record[1]) > low:
+        kept = np.concatenate(record[1][:config.max_sequences + 1])
+        tested, rule = kept[low:], config.rule
+        if rule.family == "M5":  # its first evaluation compares with nothing, so cannot stop
+            statistic = np.concatenate(([np.inf], stop_statistic(rule, tested[1:], tested[:-1])))
+        else:
+            statistic = stop_statistic(rule, tested)
+        compare, cutoff = stop_test(rule)
+        hits = compare(statistic, cutoff).nonzero()[0]
+        if len(hits):
+            stopped_at = low + int(hits[0])
+            return _outcome(config, kept[:stopped_at + 1].copy(), stopped_at)
+        if len(kept) > config.max_sequences:
+            return _outcome(config, kept, -1)
     first, _, states = classify_until_stop(config, (config.rule,), logp, {block: stream},
                                            np.array([config.trial_index]), record[1])
-    path = np.concatenate(states)
+    return _outcome(config, np.concatenate(states), int(first[0, 0]))
+
+
+def _outcome(config: TrialConfig, path: np.ndarray, stopped_at: int) -> TrialOutcome:
+    """A trial's outcome from its path, made read-only, and first stop (-1: censored)."""
     path.flags.writeable = False
-    stopped_at = int(first[0, 0])
     if stopped_at < 0:
         return TrialOutcome(None, None, None, path)
     choice = int(path[stopped_at].argmax())

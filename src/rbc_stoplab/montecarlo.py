@@ -497,7 +497,7 @@ def trajectory_ensemble(cfg: ExperimentConfig, n_paths: int = 100) -> EnsembleRe
     for lo, hi in _slices(n_paths):
         out = paths[lo:hi]
         logp, streams, trials = _batch(sub, lo, hi)
-        np.stack(classify_until_stop(sub, [], logp, streams, trials, [logp])[2], axis=1, out=out)
+        np.stack(classify_until_stop(sub, [], logp, streams, trials, [])[2], axis=1, out=out)
         np.exp(out, out=out)
     return EnsembleResult(paths=paths, mean=paths.mean(axis=0))
 

@@ -57,11 +57,14 @@ def test_kept_path_counts_of_run_trial_calls(tool):
     assert (counts["calls"], counts["kept calls"]) == (3, 1)
     assert counts["updates"] == sum(sequences)
     assert counts["kept updates"] == min(sequences[:2])
+    # the fresh calls reach the loop; the kept call only if it runs past
+    # the path that the first call left
+    assert counts["loop calls"] == 2 + (sequences[1] > sequences[0])
 
 
 def test_every_patched_name_is_restored_when_a_job_raises(tool):
     originals = (engine.np, engine._polar, engine.read_cells, montecarlo.read_cells,
-                 engine._thread_stream)
+                 engine._thread_stream, engine.classify_until_stop)
 
     def job():
         tiny_experiment()()
@@ -70,7 +73,7 @@ def test_every_patched_name_is_restored_when_a_job_raises(tool):
     with pytest.raises(RuntimeError, match="job failed"):
         tool.count(rbc_stoplab, [job])
     restored = (engine.np, engine._polar, engine.read_cells, montecarlo.read_cells,
-                engine._thread_stream)
+                engine._thread_stream, engine.classify_until_stop)
     assert all(a is b for a, b in zip(restored, originals))
 
 

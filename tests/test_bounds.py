@@ -366,6 +366,85 @@ def first_passage(l0, laws, bound, sequences, check_prior, cells):
     return stop, right
 
 
+def _log_sigmoid(y):
+    return -np.logaddexp(0.0, -y)
+
+
+def bernoulli_kl_bits(after, before):
+    """KL(Bernoulli(sigma(after)) || Bernoulli(sigma(before))) in bits: M5's
+    statistic at n = 2 between log-odds ``after`` and ``before``."""
+    p = np.exp(_log_sigmoid(after))
+    return (p * (_log_sigmoid(after) - _log_sigmoid(before))
+            + (1.0 - p) * (_log_sigmoid(-after) - _log_sigmoid(-before))) / math.log(2.0)
+
+
+def kl_stop_interval(x, cutoff, reach=200.0):
+    """The ends ``(a, b)`` of the log-odds that stop M5 after log-odds ``x``
+    (an array): the statistic is 0 at ``x`` and grows on each side of it, so
+    its stop set is an interval, unbounded on a side whose limit, -log2 of
+    sigma(+-x), lies below ``cutoff``.  Each end is found by bisection."""
+    ends = []
+    for sign in (-1.0, 1.0):
+        near, out = x.copy(), x + sign * reach
+        unbounded = bernoulli_kl_bits(out, x) < cutoff
+        for _ in range(200):
+            mid = 0.5 * (near + out)
+            inside = bernoulli_kl_bits(mid, x) < cutoff
+            near, out = np.where(inside, mid, near), np.where(inside, out, mid)
+        ends.append(np.where(unbounded, sign * np.inf, near))
+    return ends
+
+
+def kl_first_passage(l0, law, cutoff, sequences, check_prior, cells, span=(-14.0, 22.0)):
+    """P(first stop = s) and P(first stop = s, correct) for s = 0 to
+    ``sequences`` of M5 on a walk from ``l0`` with steps N(drift, var) of
+    ``law``, and the mass that left ``span`` unstopped.
+
+    M5 stops at s when L_s lies in :func:`kl_stop_interval` of L_{s-1},
+    correctly when L_s > 0; its first evaluation, at s = 0 with
+    ``check_prior`` and at s = 1 without, compares with nothing.  So a
+    source point x moves to a cell the masses of the step's law over the
+    cell less its overlap with x's interval, and stops with the law's mass
+    over the interval: differences of ``math.erfc`` values.  The walk on
+    ``span`` is held as ``cells`` cell masses; the first step runs from the
+    point ``l0``, later ones from each cell's midpoint (an O(h**2) error).
+    """
+    drift, var = law
+    scale = math.sqrt(2.0 * var)
+    cdf = np.vectorize(lambda x: 0.5 * math.erfc((drift - x) / scale))  # P(step < x)
+    h = (span[1] - span[0]) / cells
+    edges = span[0] + h * np.arange(cells + 1)
+
+    def step(points, below):
+        """Stop, correct-stop and per-cell onward masses from ``points``, of
+        which ``below`` holds P(step < edge - point) at every edge: the
+        overlap with an interval (a, b) clips those to [P(< a), P(< b)]."""
+        a, b = kl_stop_interval(points, cutoff)
+        fa, fb, f0 = cdf(a - points), cdf(b - points), cdf(-points)
+        onward = np.diff(below) - np.diff(np.clip(below, fa[:, None], fb[:, None]))
+        return fb - fa, np.maximum(fb - np.maximum(fa, f0), 0.0), onward
+
+    # P(step < edge - midpoint) depends on the edge's offset from the cell
+    table = cdf((np.arange(-cells, cells + 2) - 0.5) * h)
+    stops, rights, moves = np.empty(cells), np.empty(cells), np.empty((cells, cells))
+    for lo in range(0, cells, 256):
+        i = np.arange(lo, min(cells, lo + 256))
+        stops[i], rights[i], moves[i] = step(edges[i] + h / 2,
+                                             table[np.arange(cells + 1) - i[:, None] + cells])
+    stop, right = np.zeros(sequences + 1), np.zeros(sequences + 1)
+    below = cdf(edges - l0)[None]
+    if check_prior:
+        (stop[1],), (right[1],), (mass,) = step(np.array([l0]), below)
+    else:
+        mass = np.diff(below[0])
+    left = 1.0 - stop[1] - mass.sum()
+    for s in range(2, sequences + 1):
+        stop[s], right[s] = mass @ stops, mass @ rights
+        left += mass @ (1.0 - stops - moves.sum(1))
+        mass = mass @ moves
+    return stop, right, left
+
+
 class TestFirstPassage:
     """At n = 2, the log-odds L = log p_true - log p_other is a Gaussian
     random walk.  Under broadcast querying each sequence adds N(mu_pos -
@@ -374,7 +453,11 @@ class TestFirstPassage:
     L: N(mu_pos, c_pos**2) when L >= 0, and -N(mu_neg, c_neg**2) when L <
     0.  M1 stops once |L| > logit(tau), correctly when L > 0 there, so its
     whole first-passage law follows from a 1-D Chapman-Kolmogorov
-    recursion (:func:`first_passage`).
+    recursion (:func:`first_passage`).  M5 stops on the pair (L_{s-1},
+    L_s), so its recursion moves mass between grid cells by a matrix
+    (:func:`kl_first_passage`); its run_trial check makes each M5 call right
+    after an M1 call on the same trial, so that it is answered from the
+    kept path or extends it.
 
     The share of trials that first stop at each s, and first stop
     correctly there, must lie within 5 binomial standard errors of the
@@ -410,9 +493,20 @@ class TestFirstPassage:
             assert np.all(np.abs(p - q) <= 0.01 * np.sqrt(q * (1.0 - q) / trials))
         return fine
 
-    def assert_matches(self, first, correct, probs, check_prior, scheme=Broadcast()):
+    def kl_oracle(self, probs, check_prior, scheme, trials):
+        l0 = math.log(probs[0]) - math.log(probs[1])
+        args = (l0, self.laws(scheme)[0], calibrate("M5", self.TAU, 2).threshold,
+                self.SEQUENCES, check_prior)
+        (*coarse, _), (*fine, left) = kl_first_passage(*args, 900), kl_first_passage(*args, 1800)
+        for p, q in zip(coarse, fine):
+            assert np.all(np.abs(p - q) <= 0.01 * np.sqrt(q * (1.0 - q) / trials))
+        assert abs(left) < 1e-12
+        return fine
+
+    def assert_matches(self, first, correct, probs, check_prior, scheme=Broadcast(), family="M1"):
         trials = len(first)
-        stop, right = self.oracle(probs, check_prior, scheme, trials)
+        oracle = self.kl_oracle if family == "M5" else self.oracle
+        stop, right = oracle(probs, check_prior, scheme, trials)
         for s in range(self.SEQUENCES + 1):
             at_s = first == s
             for share, p, what in ((at_s.mean(), stop[s], "stop"),
@@ -420,25 +514,26 @@ class TestFirstPassage:
                 bound = 5.0 * math.sqrt(p * (1.0 - p) / trials) + (0.0 < p < 1.0) / trials
                 assert abs(share - p) <= bound, (probs, check_prior, s, what, share, p)
 
-    def harness(self, probs, check_prior, scheme):
-        cfg = ExperimentConfig(n=2, prior=sp(probs), tau=self.TAU, methods=("M1",),
+    def harness(self, probs, check_prior, scheme, family="M1"):
+        cfg = ExperimentConfig(n=2, prior=sp(probs), tau=self.TAU, methods=(family,),
                                model=self.MODEL, scheme=scheme, n_trials=200_000,
                                max_sequences=self.SEQUENCES, master_seed=1,
                                check_prior=check_prior)
         result = run_experiment(cfg)
         self.assert_matches(result.first_stop[0], result.stop_correct[0], probs, check_prior,
-                            scheme)
+                            scheme, family)
 
-    def single_trials(self, probs, check_prior, scheme):
-        rule = calibrate("M1", self.TAU, 2)
-        outcomes = [run_trial(TrialConfig(prior=sp(probs), true_index=0, rule=rule,
-                                          model=self.MODEL, scheme=scheme,
-                                          max_sequences=self.SEQUENCES, seed=1, trial_index=t,
-                                          check_prior=check_prior))
+    def single_trials(self, probs, check_prior, scheme, family="M1"):
+        # each trial's calls run M1 first, and the outcome of the last call counts
+        rules = [calibrate(f, self.TAU, 2) for f in dict.fromkeys(("M1", family))]
+        outcomes = [[run_trial(TrialConfig(prior=sp(probs), true_index=0, rule=rule,
+                                           model=self.MODEL, scheme=scheme,
+                                           max_sequences=self.SEQUENCES, seed=1, trial_index=t,
+                                           check_prior=check_prior)) for rule in rules][-1]
                     for t in range(5000)]
         first = np.array([-1 if o.stopped_at is None else o.stopped_at for o in outcomes])
         self.assert_matches(first, np.array([bool(o.correct) for o in outcomes]), probs,
-                            check_prior, scheme)
+                            check_prior, scheme, family)
 
     # priors outside the stop region, inside it on the true class's side,
     # and inside it on the competitor's
@@ -460,6 +555,19 @@ class TestFirstPassage:
     @pytest.mark.parametrize("probs, check_prior", CASES)
     def test_single_trial_top1_first_stops_follow_the_signed_walk(self, probs, check_prior):
         self.single_trials(probs, check_prior, TopN(1))
+
+    # M5 cannot stop on the prior, so its first stop comes at s = 1 with the
+    # prior check and at s = 2 without; priors on both sides of 1/2
+    KL_CASES = [([0.6, 0.4], True), ([0.6, 0.4], False), ([0.3, 0.7], True),
+                ([0.3, 0.7], False)]
+
+    @pytest.mark.parametrize("probs, check_prior", KL_CASES)
+    def test_harness_m5_first_stops_follow_the_pair_walk(self, probs, check_prior):
+        self.harness(probs, check_prior, Broadcast(), "M5")
+
+    @pytest.mark.parametrize("probs, check_prior", KL_CASES)
+    def test_single_trial_m5_first_stops_follow_the_pair_walk(self, probs, check_prior):
+        self.single_trials(probs, check_prior, Broadcast(), "M5")
 
 
 class TestFalseStopProbability:

@@ -643,9 +643,10 @@ class TestStreamReuse:
     @given(one_trial_sequences())
     def test_calls_on_one_trial_give_fresh_outcomes(self, calls):
         # back-to-back calls on one trial that change the prior, true class,
-        # model, scheme, rule, prior check or horizon, so that a kept path is
-        # replayed, extended mid-half or across chunks, or replaced; each
-        # outcome equals a fresh call's and the harness's stop record
+        # model, scheme, rule, prior check or horizon, so that a call is
+        # answered from a kept path, extends it mid-half or across chunks, or
+        # replaces it; each outcome equals a fresh call's and the harness's
+        # stop record
         expected = [self.fresh(self.path_call(*args)) for args in calls]
         _thread_stream.cache_clear()
         for args, fresh in zip(calls, expected):
@@ -732,6 +733,96 @@ class TestStreamReuse:
                     n=3, prior=prior, tau=0.8, methods=("M1",), model=NOISY,
                     n_trials=3 * BLOCK, max_sequences=1, master_seed=seed))
         assert (live() - before <= [64, 64, 64, 16 * 17]).all(), live() - before
+
+
+@st.composite
+def kept_path_calls(draw):
+    """One trial's prior (zero masses allowed), true class, model (log-sds
+    may be 0) and scheme, and 3 to 8 calls on it, each a rule of any family
+    at any tau, a horizon of 1 to 20 and the prior check on or off, so that
+    a call finds the kept path ending before its horizon, at it, past it,
+    or mid-half."""
+    n = draw(st.integers(2, 6))
+    masses = draw(st.lists(st.sampled_from((0.0, 0.0, 0.05, 0.3, 1.0, 2.5, 400.0)), min_size=n,
+                           max_size=n).filter(any))
+    queries = draw(st.integers(0, n))
+    model = EvidenceModel(*(draw(st.sampled_from(values)) for values in (
+        (-0.4, 0.0, 0.7), (0.0, 0.4, 1.0), (-0.3, 0.0, 0.2), (0.0, 0.5))))
+    trial = dict(prior=sp(masses), true_index=draw(st.integers(0, n - 1)), model=model,
+                 scheme=TopN(queries) if queries else Broadcast(), seed=draw(st.integers(0, 3)),
+                 trial_index=draw(st.sampled_from((0, 7, BLOCK - 1, BLOCK))))
+    calls = []
+    for _ in range(draw(st.integers(3, 8))):
+        tau = draw(st.floats(1.0 / n, 1.0, exclude_min=True))
+        calls.append(TrialConfig(**trial, rule=calibrate(draw(st.sampled_from(FAMILIES)), tau, n),
+                                 max_sequences=draw(st.integers(1, 20)),
+                                 check_prior=draw(st.booleans())))
+    return calls
+
+
+class TestKeptPath:
+    """A call under its thread's kept path key tests the kept states in one
+    pass and runs the loop only past them; its outcome is the cold call's."""
+
+    @staticmethod
+    def cold(cfg):
+        _thread_stream.cache_clear()
+        return run_trial(cfg)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(kept_path_calls())
+    def test_warm_calls_equal_cold_ones(self, calls):
+        expected = [self.cold(cfg) for cfg in calls]
+        _thread_stream.cache_clear()
+        for k, (cfg, cold) in enumerate(zip(calls, expected)):
+            warm = run_trial(cfg)
+            assert warm == cold, k
+            assert warm.log_probs.tobytes() == cold.log_probs.tobytes(), k
+
+    def test_m5_after_a_prior_stop_compares_with_nothing_first(self):
+        # a prior stop keeps a path of the prior alone, untested for a call
+        # without the prior check: M5's first evaluation, at s = 1, must not
+        # compare with the prior, whose divergence from state 1 is small here
+        prior, model = sp([400.0, 1.0]), EvidenceModel(0.7, 0.4, 0.0, 0.5)
+        calls = [TrialConfig(prior=prior, true_index=0, rule=calibrate(family, 0.6, 2),
+                             model=model, max_sequences=5, check_prior=check_prior)
+                 for family, check_prior in (("M1", True), ("M5", False))]
+        expected = [self.cold(cfg) for cfg in calls]
+        assert [out.stopped_at for out in expected] == [0, 2]
+        _thread_stream.cache_clear()
+        assert [run_trial(cfg) for cfg in calls] == expected
+
+    def test_warm_calls_equal_the_harness(self, monkeypatch):
+        # calls on each trial answered from the kept path, extending it
+        # mid-half and across chunks, or censored on it; every outcome is
+        # the cold call's and the harness's stop record for the trial
+        prior, model, tau = sp([0.5, 0.3, 0.2, 0.0]), EvidenceModel(0.6, 0.8, 0.0, 0.0), 0.8
+        harness = run_experiment(ExperimentConfig(
+            n=4, prior=prior, tau=tau, methods=FAMILIES, model=model, true_index=1,
+            scheme=TopN(2), n_trials=40, max_sequences=20, master_seed=9))
+        horizons = (4, 20, 9, 1, 20, 13, 6)
+        loop, loops, reached = engine.classify_until_stop, [], []
+        monkeypatch.setattr(engine, "classify_until_stop",
+                            lambda *args: loops.append(args) or loop(*args))
+        for t in range(40):
+            calls = [TrialConfig(prior=prior, true_index=1, rule=calibrate(family, tau, 4),
+                                 model=model, scheme=TopN(2), max_sequences=horizon, seed=9,
+                                 trial_index=t) for family, horizon in zip(FAMILIES, horizons)]
+            expected = [self.cold(cfg) for cfg in calls]
+            _thread_stream.cache_clear()
+            for row, (cfg, cold) in enumerate(zip(calls, expected)):
+                loops.clear()
+                warm = run_trial(cfg)
+                reached.append(bool(loops))
+                assert warm == cold, (t, row)
+                first = int(harness.first_stop[row, t])
+                assert warm.stopped_at == (first if 0 <= first <= cfg.max_sequences
+                                           else None), (t, row)
+                if warm.stopped_at is not None:
+                    assert warm.correct == bool(harness.stop_correct[row, t]), (t, row)
+        # every trial's first call runs the loop, and some later calls do
+        # and some do not
+        assert all(reached[::7]) and 0 < sum(reached) - 40 < 6 * 40
 
 
 class TestTrajectoryGeometry:

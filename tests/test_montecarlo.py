@@ -302,7 +302,7 @@ class TestHarnessMatchesEngine:
         rule = calibrate("M1", cfg.tau, cfg.n)
         kept = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths
         logp, streams, trials = _batch(cfg, 0, cfg.n_trials)
-        first, _, states = classify_until_stop(cfg, [rule], logp, streams, trials, [logp])
+        first, _, states = classify_until_stop(cfg, [rule], logp, streams, trials, [])
         sizes = [len(state) for state in states]
         # a state s was updated with step (s - 1) % CHUNK of its chunk
         assert any(sizes[s] < sizes[s - 1] for s in range(2, len(sizes)) if (s - 1) % CHUNK)
@@ -330,7 +330,7 @@ class TestHarnessMatchesEngine:
         res = run_experiment(cfg)
         kept = trajectory_ensemble(cfg, n_paths=cfg.n_trials).paths
         logp, streams, trials = _batch(cfg, 0, cfg.n_trials)
-        first, _, states = classify_until_stop(cfg, rules, logp, streams, trials, [logp])
+        first, _, states = classify_until_stop(cfg, rules, logp, streams, trials, [])
         np.testing.assert_array_equal(first, res.first_stop)
         # state s + 1 is the first without the trials that left at state s
         left = {(s - 1) % CHUNK for s in range(1, len(states) - 1)

@@ -9,7 +9,7 @@ their sizes, taus and horizons from ``bench/workload.py``:
 
 * ``run_trial`` mixes, one call per config: ``scalar_geometry`` is that
   workload's mix in its order (per T2 trial, broadcast then top-2, each
-  over the seven rules, so later calls read back the path kept for the
+  over the seven rules, so later calls find the path kept for the
   trial); ``probes`` (tables T2 and T3) and ``sweep_probes`` (the
   ``sweep_topn`` config at its largest tau) run the workloads' sampled
   trials rule-major, so no call finds its path kept;
@@ -22,8 +22,10 @@ Every job takes the same three steps.  Check: both sides' results agree
 bit for bit, or the script names the job and exits 1.  Count: each side
 runs the job once more from fresh streams with every counter installed:
 chunks of normals (``_polar`` calls), Box-Muller trig evaluations,
-``read_cells`` calls with their positioned reads and uniforms, and the
-``run_trial`` calls and updates that find their trial's path kept.
+``read_cells`` calls with their positioned reads and uniforms, the
+``run_trial`` calls and updates that find their trial's path kept, and
+the ``run_trial`` calls that reach the loop (``classify_until_stop``)
+rather than being answered from the kept path.
 Time: job by job, each round runs every call of the job once on each
 side, alternating which side goes first, and the script prints each
 side's median over rounds of the round's median call (or run) and, for
@@ -174,8 +176,9 @@ def count(pkg, calls: list) -> tuple[collections.Counter, list]:
     counts, reads, opened = collections.Counter(), [], []
     saved = [(module, name, getattr(module, name)) for module, name in (
         (engine, "np"), (engine, "_polar"), (engine, "read_cells"),
-        (montecarlo, "read_cells"), (engine, "_thread_stream"))]
+        (montecarlo, "read_cells"), (engine, "_thread_stream"), (engine, "classify_until_stop"))]
     polar, read, thread_stream = engine._polar, engine.read_cells, engine._thread_stream
+    loop = engine.classify_until_stop
 
     def counted_polar(*args):
         counts["chunks"] += 1
@@ -185,6 +188,11 @@ def count(pkg, calls: list) -> tuple[collections.Counter, list]:
         counts["read_cells calls"] += 1
         reads.append((tuple(streams), trials.copy(), row, n))
         return read({b: CountedStream(s, counts) for b, s in streams.items()}, trials, row, n)
+
+    def counted_loop(*args):
+        # run_trial's loop: the harness calls montecarlo's name, not engine's
+        counts["loop calls"] += 1
+        return loop(*args)
 
     def recorded_stream(*args):
         # the record and its path list as the call finds them
@@ -196,6 +204,7 @@ def count(pkg, calls: list) -> tuple[collections.Counter, list]:
     try:
         engine.np = CountedNumpy(counts)
         engine._polar, engine._thread_stream = counted_polar, recorded_stream
+        engine.classify_until_stop = counted_loop
         engine.read_cells = montecarlo.read_cells = counted_read
         for call in calls:
             result = call()
@@ -214,7 +223,8 @@ def count(pkg, calls: list) -> tuple[collections.Counter, list]:
 
 def describe(c: collections.Counter) -> str:
     kept = (f"path kept for {c['kept calls']}/{c['calls']} calls and {c['kept updates']}/"
-            f"{c['updates']} updates, " if c["calls"] else "")
+            f"{c['updates']} updates, {c['loop calls']}/{c['calls']} calls reached the loop, "
+            if c["calls"] else "")
     return (f"{kept}{c['chunks']:,} chunks, {c['cosines'] + c['sines']:,} trig evaluations "
             f"({c['cosines']:,} cosines, {c['sines']:,} sines), {c['read_cells calls']:,} "
             f"read_cells calls making {c['positioned reads']:,} positioned reads of "
